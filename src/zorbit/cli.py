@@ -17,13 +17,13 @@ import io
 import json
 import os
 import sys
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .dynamics import (
     CycleCensus,
     SweepRow,
     THEOREM1_PASS,
-    classify_cycle,
     cycle_census,
     sweep,
     verify_theorem1,
@@ -113,10 +113,6 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _config_for(args: argparse.Namespace) -> dict[str, str]:
-    return _load_config(args.config) if args.config else {}
-
-
 def _config_int(config: dict[str, str], key: str) -> int | None:
     if key not in config:
         return None
@@ -169,30 +165,60 @@ def _max_steps_from(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# one result per command, rendered once
 
 
-def _envelope(command: str, params_echo: dict, status: str, payload, args) -> dict:
-    envelope = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "params": params_echo,
-        "status": status,
-        "payload": payload,
-    }
-    if getattr(args, "timestamps", False):
-        envelope["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return envelope
+_STATUS_BY_EXIT = {
+    EXIT_OK: STATUS_OK,
+    EXIT_VERIFICATION_FAILED: STATUS_VERIFICATION_FAILED,
+    EXIT_PRECONDITION: STATUS_PRECONDITION_FAILED,
+}
 
 
-def _json_doc(envelope: dict) -> str:
-    return json.dumps(envelope, indent=2) + "\n"
+@dataclass
+class _Result:
+    """Everything a command found, ready for any of the three formats.
+
+    ``payload`` goes into the JSON envelope, ``columns``/``rows`` form the
+    CSV table (led by ``schema_version, command, status`` unless
+    ``csv_prefix`` is off), and ``lines`` are the text rendering.
+    """
+
+    code: int
+    command: str
+    params: dict
+    payload: dict
+    columns: list[str]
+    rows: list[list]
+    lines: list[str]
+    csv_prefix: bool = True
+
+    @property
+    def status(self) -> str:
+        return _STATUS_BY_EXIT[self.code]
 
 
-def _csv_doc(header: list[str], rows: list[list]) -> str:
+def _render(result: _Result, fmt: str, timestamps: bool) -> str:
+    if fmt == "json":
+        envelope = {
+            "schema_version": SCHEMA_VERSION,
+            "command": result.command,
+            "params": result.params,
+            "status": result.status,
+            "payload": result.payload,
+        }
+        if timestamps:
+            envelope["timestamp"] = datetime.now(timezone.utc).isoformat()
+        return json.dumps(envelope, indent=2) + "\n"
+    if fmt == "text":
+        return "\n".join(result.lines) + "\n"
+    columns, rows = result.columns, result.rows
+    if result.csv_prefix:
+        columns = ["schema_version", "command", "status", *columns]
+        rows = [[SCHEMA_VERSION, result.command, result.status, *row] for row in rows]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(columns)
     writer.writerows(rows)
     return buffer.getvalue()
 
@@ -201,6 +227,16 @@ def _bool_cell(flag: bool | None) -> str:
     if flag is None:
         return ""
     return "true" if flag else "false"
+
+
+def _joined(values, sep: str = ",") -> str:
+    """A cycle (or digit list) spelled ``a,b`` or, with ``sep``, ``a -> b``."""
+    return sep.join(str(v) for v in values)
+
+
+def _braced(values) -> str:
+    """A cycle spelled as the set ``{a, b}``."""
+    return "{" + _joined(values, ", ") + "}"
 
 
 def _write_output(doc: str, out_path: str | None) -> None:
@@ -212,16 +248,6 @@ def _write_output(doc: str, out_path: str | None) -> None:
             raise UsageError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(doc)
-
-
-def _emit(args, fmt: str, envelope: dict, csv_doc: str, text_doc: str) -> None:
-    if fmt == "json":
-        doc = _json_doc(envelope)
-    elif fmt == "csv":
-        doc = csv_doc
-    else:
-        doc = text_doc
-    _write_output(doc, getattr(args, "out", None))
 
 
 def _hypothesis_payload(report: HypothesisReport) -> dict:
@@ -250,19 +276,23 @@ def _trace_steps(values, params: Params) -> list[dict]:
     return steps
 
 
+def _cycles_payload(cycles) -> list[dict]:
+    return [
+        {
+            "values": [str(v) for v in cycle.values],
+            "length": cycle.length,
+            "basin_size": cycle.basin_size,
+            "degenerate": cycle.degenerate,
+        }
+        for cycle in cycles
+    ]
+
+
 def _census_payload(census: CycleCensus) -> dict:
     return {
         "absorbing_bound": str(census.absorbing_bound),
         "scanned_range": [str(census.scanned_range[0]), str(census.scanned_range[1])],
-        "cycles": [
-            {
-                "values": [str(v) for v in cycle.values],
-                "length": cycle.length,
-                "basin_size": cycle.basin_size,
-                "degenerate": cycle.degenerate,
-            }
-            for cycle in census.cycles
-        ],
+        "cycles": _cycles_payload(census.cycles),
     }
 
 
@@ -274,57 +304,7 @@ def _params_echo(params: Params) -> dict:
 # orbit
 
 
-def _orbit_csv(status: str, steps: list[dict], preperiod, cycle_length) -> str:
-    header = [
-        "schema_version",
-        "command",
-        "status",
-        "step",
-        "value",
-        "digits",
-        "f_values",
-        "preperiod_length",
-        "cycle_length",
-    ]
-    rows = []
-    pre = "" if preperiod is None else str(preperiod)
-    cyc = "" if cycle_length is None else str(cycle_length)
-    for step in steps:
-        rows.append(
-            [
-                SCHEMA_VERSION,
-                "orbit",
-                status,
-                step["step"],
-                step["value"],
-                ",".join(str(d) for d in step["digits"]),
-                ",".join(str(f) for f in step["f_values"]),
-                pre,
-                cyc,
-            ]
-        )
-    return _csv_doc(header, rows)
-
-
-def _orbit_text(params: Params, steps: list[dict], preperiod, cycle_length, cycle, status: str) -> str:
-    lines = [f"orbit n={steps[0]['value']} (k={params.k}, p={params.p})"]
-    for step in steps:
-        digits = "[" + ", ".join(str(d) for d in step["digits"]) + "]"
-        f_values = "[" + ", ".join(str(f) for f in step["f_values"]) + "]"
-        lines.append(f"  step {step['step']}: {step['value']}  digits={digits}  f={f_values}")
-    if preperiod is None:
-        lines.append(f"status: {status} (no repeat within budget)")
-    else:
-        lines.append(f"preperiod length: {preperiod}")
-        lines.append(f"cycle length: {cycle_length}")
-        lines.append("cycle: " + " -> ".join(cycle))
-        lines.append(f"status: {status}")
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_orbit(args: argparse.Namespace) -> int:
-    config = _config_for(args)
-    fmt = _format_from(args, config)
+def _cmd_orbit(args: argparse.Namespace, config: dict[str, str]) -> _Result:
     params = _params_from(args, config)
     max_steps = _max_steps_from(args)
     echo = _params_echo(params)
@@ -332,221 +312,153 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     try:
         trace = orbit(args.n, params, max_steps=max_steps)
     except BudgetExceededError as exc:
-        steps = _trace_steps(exc.partial, params)
-        payload = {
-            "trace": steps,
-            "preperiod_length": None,
-            "cycle_length": None,
-            "cycle": None,
-            "error": "budget_exceeded",
-        }
-        envelope = _envelope("orbit", echo, STATUS_VERIFICATION_FAILED, payload, args)
-        _emit(
-            args,
-            fmt,
-            envelope,
-            _orbit_csv(STATUS_VERIFICATION_FAILED, steps, None, None),
-            _orbit_text(params, steps, None, None, None, STATUS_VERIFICATION_FAILED),
-        )
-        return EXIT_VERIFICATION_FAILED
-    steps = _trace_steps(trace.values, params)
-    cycle = [str(v) for v in trace.cycle]
+        values, preperiod, cycle_len, cycle = exc.partial, None, None, None
+    else:
+        values, preperiod, cycle_len = trace.values, trace.preperiod_length, trace.cycle_length
+        cycle = [str(v) for v in trace.cycle]
+    steps = _trace_steps(values, params)
     payload = {
         "trace": steps,
-        "preperiod_length": trace.preperiod_length,
-        "cycle_length": trace.cycle_length,
+        "preperiod_length": preperiod,
+        "cycle_length": cycle_len,
         "cycle": cycle,
     }
-    envelope = _envelope("orbit", echo, STATUS_OK, payload, args)
-    _emit(
-        args,
-        fmt,
-        envelope,
-        _orbit_csv(STATUS_OK, steps, trace.preperiod_length, trace.cycle_length),
-        _orbit_text(params, steps, trace.preperiod_length, trace.cycle_length, cycle, STATUS_OK),
-    )
-    return EXIT_OK
+    lines = [f"orbit n={steps[0]['value']} (k={params.k}, p={params.p})"]
+    for step in steps:
+        digits = "[" + _joined(step["digits"], ", ") + "]"
+        f_values = "[" + _joined(step["f_values"], ", ") + "]"
+        lines.append(f"  step {step['step']}: {step['value']}  digits={digits}  f={f_values}")
+    if cycle is None:
+        code = EXIT_VERIFICATION_FAILED
+        payload["error"] = "budget_exceeded"
+        lines.append(f"status: {STATUS_VERIFICATION_FAILED} (no repeat within budget)")
+    else:
+        code = EXIT_OK
+        lines.append(f"preperiod length: {preperiod}")
+        lines.append(f"cycle length: {cycle_len}")
+        lines.append("cycle: " + _joined(cycle, " -> "))
+        lines.append(f"status: {STATUS_OK}")
+    # csv writes None as an empty cell
+    rows = [
+        [s["step"], s["value"], _joined(s["digits"]), _joined(s["f_values"]), preperiod, cycle_len]
+        for s in steps
+    ]
+    columns = ["step", "value", "digits", "f_values", "preperiod_length", "cycle_length"]
+    return _Result(code, "orbit", echo, payload, columns, rows, lines)
 
 
 # ---------------------------------------------------------------------------
 # check
 
 
-def _check_csv(status: str, params: Params, report: HypothesisReport) -> str:
-    header = [
-        "schema_version",
-        "command",
-        "status",
-        "k",
-        "p",
-        "a_holds",
-        "b_holds",
-        "b_violations",
-        "c_holds",
-        "c_violations",
-        "satisfied",
-    ]
+def _cmd_check(args: argparse.Namespace, config: dict[str, str]) -> _Result:
+    params = _params_from(args, config)
+    report = check_all(params)
+    verdict = "satisfied" if report.satisfied else "not satisfied"
+    b_wit = _joined(report.b_violations, ", ") or "-"
+    c_wit = "; ".join(f"q={q} ({clause})" for q, clause in report.c_violations) or "-"
+    columns = ["k", "p", "a_holds", "b_holds", "b_violations", "c_holds", "c_violations"]
+    columns.append("satisfied")
     row = [
-        SCHEMA_VERSION,
-        "check",
-        status,
         params.k,
         params.p,
         _bool_cell(report.a_holds),
         _bool_cell(report.b_holds),
-        ",".join(str(q) for q in report.b_violations),
+        _joined(report.b_violations),
         _bool_cell(report.c_holds),
         ";".join(f"{q},{clause}" for q, clause in report.c_violations),
         _bool_cell(report.satisfied),
     ]
-    return _csv_doc(header, [row])
-
-
-def _check_text(params: Params, report: HypothesisReport) -> str:
-    verdict = "satisfied" if report.satisfied else "not satisfied"
-    b_wit = ", ".join(str(q) for q in report.b_violations) or "-"
-    c_wit = "; ".join(f"q={q} ({clause})" for q, clause in report.c_violations) or "-"
     lines = [
         f"check k={params.k} p={params.p}: {verdict}",
         f"  (a) holds: {_bool_cell(report.a_holds)}",
         f"  (b) holds: {_bool_cell(report.b_holds)}  violations: {b_wit}",
         f"  (c) holds: {_bool_cell(report.c_holds)}  violations: {c_wit}",
     ]
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    config = _config_for(args)
-    fmt = _format_from(args, config)
-    params = _params_from(args, config)
-    report = check_all(params)
-    status = STATUS_OK if report.satisfied else STATUS_VERIFICATION_FAILED
-    envelope = _envelope("check", _params_echo(params), status, _hypothesis_payload(report), args)
-    _emit(args, fmt, envelope, _check_csv(status, params, report), _check_text(params, report))
-    return EXIT_OK if report.satisfied else EXIT_VERIFICATION_FAILED
+    code = EXIT_OK if report.satisfied else EXIT_VERIFICATION_FAILED
+    return _Result(
+        code, "check", _params_echo(params), _hypothesis_payload(report), columns, [row], lines
+    )
 
 
 # ---------------------------------------------------------------------------
 # census
 
 
-def _census_csv(status: str, census: CycleCensus) -> str:
-    header = [
-        "schema_version",
-        "command",
-        "status",
-        "k",
-        "p",
-        "absorbing_bound",
-        "scanned_lo",
-        "scanned_hi",
-        "cycle",
-        "length",
-        "basin_size",
-        "degenerate",
-    ]
-    rows = []
-    for cycle in census.cycles:
-        rows.append(
-            [
-                SCHEMA_VERSION,
-                "census",
-                status,
-                census.params.k,
-                census.params.p,
-                census.absorbing_bound,
-                census.scanned_range[0],
-                census.scanned_range[1],
-                ",".join(str(v) for v in cycle.values),
-                cycle.length,
-                cycle.basin_size,
-                _bool_cell(cycle.degenerate),
-            ]
-        )
-    return _csv_doc(header, rows)
-
-
-def _census_text(census: CycleCensus) -> str:
-    lines = [
-        f"census k={census.params.k} p={census.params.p}",
-        f"  absorbing bound: {census.absorbing_bound}",
-        f"  scanned range: [{census.scanned_range[0]}, {census.scanned_range[1]}]",
-    ]
-    for cycle in census.cycles:
-        values = " -> ".join(str(v) for v in cycle.values)
-        tag = "  (degenerate zero)" if cycle.degenerate else ""
-        lines.append(
-            f"  cycle length={cycle.length} basin={cycle.basin_size}: {values}{tag}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_census(args: argparse.Namespace) -> int:
-    config = _config_for(args)
-    fmt = _format_from(args, config)
+def _cmd_census(args: argparse.Namespace, config: dict[str, str]) -> _Result:
     params = _params_from(args, config)
     n_max = _n_max_from(args, config, default=None)
     census = cycle_census(params, extra_range=n_max)
     echo = _params_echo(params)
     echo["n_max"] = None if n_max is None else str(n_max)
-    envelope = _envelope("census", echo, STATUS_OK, _census_payload(census), args)
-    _emit(args, fmt, envelope, _census_csv(STATUS_OK, census), _census_text(census))
-    return EXIT_OK
+    lo, hi = census.scanned_range
+    columns = ["k", "p", "absorbing_bound", "scanned_lo", "scanned_hi"]
+    columns += ["cycle", "length", "basin_size", "degenerate"]
+    rows = []
+    lines = [
+        f"census k={params.k} p={params.p}",
+        f"  absorbing bound: {census.absorbing_bound}",
+        f"  scanned range: [{lo}, {hi}]",
+    ]
+    for cycle in census.cycles:
+        rows.append(
+            [
+                params.k,
+                params.p,
+                census.absorbing_bound,
+                lo,
+                hi,
+                _joined(cycle.values),
+                cycle.length,
+                cycle.basin_size,
+                _bool_cell(cycle.degenerate),
+            ]
+        )
+        tag = "  (degenerate zero)" if cycle.degenerate else ""
+        lines.append(
+            f"  cycle length={cycle.length} basin={cycle.basin_size}: "
+            f"{_joined(cycle.values, ' -> ')}{tag}"
+        )
+    return _Result(EXIT_OK, "census", echo, _census_payload(census), columns, rows, lines)
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def _verify_precondition_doc(args, fmt: str, theorem: int, params: Params, exc: PreconditionError) -> None:
-    payload = {"failed_conditions": list(exc.failed), "detail": str(exc)}
-    echo = _params_echo(params)
-    echo["theorem"] = theorem
-    envelope = _envelope("verify", echo, STATUS_PRECONDITION_FAILED, payload, args)
-    header = [
-        "schema_version",
-        "command",
-        "status",
-        "theorem",
-        "k",
-        "p",
-        "failed_conditions",
-    ]
-    row = [
-        SCHEMA_VERSION,
-        "verify",
-        STATUS_PRECONDITION_FAILED,
-        theorem,
-        params.k,
-        params.p,
-        ",".join(exc.failed),
-    ]
-    text = (
-        f"verify theorem {theorem} k={params.k} p={params.p}: precondition failed\n"
-        f"  failed conditions: {', '.join(f'({c})' for c in exc.failed)}\n"
-    )
-    _emit(args, fmt, envelope, _csv_doc(header, [row]), text)
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    config = _config_for(args)
-    fmt = _format_from(args, config)
+def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> _Result:
     params = _params_from(args, config)
     n_max = _n_max_from(args, config, default=DEFAULT_N_MAX)
     theorem = args.theorem
     echo = _params_echo(params)
-    echo.update({"theorem": theorem, "n_max": str(n_max)})
+    echo["theorem"] = theorem
     try:
-        if theorem == 1:
-            report = verify_theorem1(params, n_max)
-        else:
-            report = verify_theorem2(params, n_max)
+        report = (verify_theorem1 if theorem == 1 else verify_theorem2)(params, n_max)
     except PreconditionError as exc:
-        _verify_precondition_doc(args, fmt, theorem, params, exc)
-        return EXIT_PRECONDITION
+        lines = [
+            f"verify theorem {theorem} k={params.k} p={params.p}: precondition failed",
+            f"  failed conditions: {', '.join(f'({c})' for c in exc.failed)}",
+        ]
+        return _Result(
+            EXIT_PRECONDITION,
+            "verify",
+            echo,
+            {"failed_conditions": list(exc.failed), "detail": str(exc)},
+            ["theorem", "k", "p", "failed_conditions"],
+            [[theorem, params.k, params.p, _joined(exc.failed)]],
+            lines,
+        )
+    echo["n_max"] = str(n_max)
+    passed = report.passed
+    payload = {"theorem": theorem, "n_max": str(n_max)}
+    columns = ["theorem", "k", "p", "n_max"]
+    lead = [theorem, params.k, params.p, n_max]
+    lines = [
+        f"verify theorem {theorem} k={params.k} p={params.p} n_max={n_max}: "
+        + ("pass" if passed else "FAIL")
+    ]
 
     if theorem == 1:
-        passed = report.passed
         counter = None
         if report.counterexample is not None:
             trace = report.counterexample
@@ -557,106 +469,42 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 "cycle_length": trace.cycle_length,
                 "cycle": [str(v) for v in trace.cycle],
             }
-        payload = {
-            "theorem": 1,
-            "n_max": str(n_max),
-            "passed": passed,
-            "census": _census_payload(report.census),
-            "counterexample": counter,
-        }
-        status = STATUS_OK if passed else STATUS_VERIFICATION_FAILED
-        header = [
-            "schema_version",
-            "command",
-            "status",
-            "theorem",
-            "k",
-            "p",
-            "n_max",
-            "passed",
-            "counterexample_start",
-        ]
-        row = [
-            SCHEMA_VERSION,
-            "verify",
-            status,
-            1,
-            params.k,
-            params.p,
-            n_max,
-            _bool_cell(passed),
-            "" if counter is None else counter["start"],
-        ]
-        text_lines = [
-            f"verify theorem 1 k={params.k} p={params.p} n_max={n_max}: "
-            + ("pass" if passed else "FAIL"),
-            f"  positive cycles found: "
-            + "; ".join(
-                "{" + ", ".join(str(v) for v in c.values) + "}"
-                for c in report.census.cycles
-                if not c.degenerate
-            ),
-        ]
+        payload["passed"] = passed
+        payload["census"] = _census_payload(report.census)
+        payload["counterexample"] = counter
+        columns += ["passed", "counterexample_start"]
+        rows = [[*lead, _bool_cell(passed), "" if counter is None else counter["start"]]]
+        lines.append(
+            "  positive cycles found: "
+            + "; ".join(_braced(c.values) for c in report.census.cycles if not c.degenerate)
+        )
         if counter is not None:
-            text_lines.append(f"  counterexample start: {counter['start']}")
-        envelope = _envelope("verify", echo, status, payload, args)
-        _emit(args, fmt, envelope, _csv_doc(header, [row]), "\n".join(text_lines) + "\n")
-        return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
-
-    passed = report.passed
-    status = STATUS_OK if passed else STATUS_VERIFICATION_FAILED
-    payload = {
-        "theorem": 2,
-        "n_max": str(n_max),
-        "all_orbits_terminated": report.all_orbits_terminated,
-        "census": _census_payload(report.census),
-        "classification": [
+            lines.append(f"  counterexample start: {counter['start']}")
+    else:
+        payload["all_orbits_terminated"] = report.all_orbits_terminated
+        payload["census"] = _census_payload(report.census)
+        payload["classification"] = [
             {
                 "cycle": [str(v) for v in entry.cycle.values],
                 "label": entry.label,
                 "basin_size": entry.cycle.basin_size,
             }
             for entry in report.classification
-        ],
-    }
-    header = [
-        "schema_version",
-        "command",
-        "status",
-        "theorem",
-        "k",
-        "p",
-        "n_max",
-        "cycle",
-        "label",
-        "basin_size",
-    ]
-    rows = [
-        [
-            SCHEMA_VERSION,
-            "verify",
-            status,
-            2,
-            params.k,
-            params.p,
-            n_max,
-            ",".join(str(v) for v in entry.cycle.values),
-            entry.label,
-            entry.cycle.basin_size,
         ]
-        for entry in report.classification
-    ]
-    text_lines = [
-        f"verify theorem 2 k={params.k} p={params.p} n_max={n_max}: "
-        + ("pass" if passed else "FAIL"),
-        f"  all orbits terminated in a census cycle: {_bool_cell(report.all_orbits_terminated)}",
-    ]
-    for entry in report.classification:
-        values = " -> ".join(str(v) for v in entry.cycle.values)
-        text_lines.append(f"  {entry.label}: {values} (basin {entry.cycle.basin_size})")
-    envelope = _envelope("verify", echo, status, payload, args)
-    _emit(args, fmt, envelope, _csv_doc(header, rows), "\n".join(text_lines) + "\n")
-    return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
+        columns += ["cycle", "label", "basin_size"]
+        rows = [
+            [*lead, _joined(entry.cycle.values), entry.label, entry.cycle.basin_size]
+            for entry in report.classification
+        ]
+        lines.append(
+            "  all orbits terminated in a census cycle: "
+            + _bool_cell(report.all_orbits_terminated)
+        )
+        for entry in report.classification:
+            values = _joined(entry.cycle.values, " -> ")
+            lines.append(f"  {entry.label}: {values} (basin {entry.cycle.basin_size})")
+    code = EXIT_OK if passed else EXIT_VERIFICATION_FAILED
+    return _Result(code, "verify", echo, payload, columns, rows, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -684,33 +532,36 @@ def _sweep_row_payload(row: SweepRow) -> dict:
         "hypothesis": None if row.hypothesis is None else _hypothesis_payload(row.hypothesis),
         "absorbing_bound": None if row.absorbing_bound is None else str(row.absorbing_bound),
         "num_cycles": None if row.skip_reason or row.error else row.num_cycles,
-        "cycles": None
-        if row.skip_reason or row.error
-        else [
-            {
-                "values": [str(v) for v in cycle.values],
-                "length": cycle.length,
-                "basin_size": cycle.basin_size,
-                "degenerate": cycle.degenerate,
-            }
-            for cycle in row.cycles
-        ],
+        "cycles": None if row.skip_reason or row.error else _cycles_payload(row.cycles),
         "theorem1_status": row.theorem1_status,
         "max_transient": row.max_transient,
         "error": row.error,
     }
 
 
-def _sweep_csv(rows: tuple[SweepRow, ...]) -> str:
-    out = []
+def _cmd_sweep(args: argparse.Namespace, config: dict[str, str]) -> _Result:
+    n_max = _n_max_from(args, config, default=DEFAULT_N_MAX)
+    rows = sweep(args.k_range, args.p_range, n_max, jobs=args.jobs)
+    all_pass = all(
+        row.theorem1_status == THEOREM1_PASS
+        for row in rows
+        if row.hypothesis is not None and row.hypothesis.satisfied
+    )
+    echo = {
+        "k_range": f"{args.k_range[0]}:{args.k_range[1]}",
+        "p_range": f"{args.p_range[0]}:{args.p_range[1]}",
+        "n_max": str(n_max),
+        "jobs": args.jobs,
+    }
+    table, lines = [], []
     for row in rows:
         if row.skip_reason or row.error:
-            out.append(
-                [row.k, row.p, "", "", "", "", "", "", row.theorem1_status, ""]
-            )
+            table.append([row.k, row.p, "", "", "", "", "", "", row.theorem1_status, ""])
+            why = f"skipped ({row.skip_reason})" if row.skip_reason else f"error ({row.error})"
+            lines.append(f"k={row.k} p={row.p}: {why}")
             continue
         hyp = row.hypothesis
-        out.append(
+        table.append(
             [
                 row.k,
                 row.p,
@@ -719,57 +570,28 @@ def _sweep_csv(rows: tuple[SweepRow, ...]) -> str:
                 _bool_cell(hyp.c_holds),
                 row.absorbing_bound,
                 row.num_cycles,
-                ";".join(",".join(str(v) for v in c.values) for c in row.cycles),
+                ";".join(_joined(c.values) for c in row.cycles),
                 row.theorem1_status,
                 row.max_transient,
             ]
         )
-    return _csv_doc(SWEEP_CSV_COLUMNS, out)
-
-
-def _sweep_text(rows: tuple[SweepRow, ...]) -> str:
-    lines = []
-    for row in rows:
-        if row.skip_reason:
-            lines.append(f"k={row.k} p={row.p}: skipped ({row.skip_reason})")
-            continue
-        if row.error:
-            lines.append(f"k={row.k} p={row.p}: error ({row.error})")
-            continue
-        hyp = row.hypothesis
-        cycles = "; ".join(
-            "{" + ", ".join(str(v) for v in c.values) + "}" for c in row.cycles
-        )
+        cycles = "; ".join(_braced(c.values) for c in row.cycles)
         lines.append(
             f"k={row.k} p={row.p}: hyp(a={_bool_cell(hyp.a_holds)} "
             f"b={_bool_cell(hyp.b_holds)} c={_bool_cell(hyp.c_holds)}) "
             f"bound={row.absorbing_bound} cycles=[{cycles}] "
             f"theorem1={row.theorem1_status} max_transient={row.max_transient}"
         )
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _config_for(args)
-    fmt = _format_from(args, config)
-    n_max = _n_max_from(args, config, default=DEFAULT_N_MAX)
-    rows = sweep(args.k_range, args.p_range, n_max, jobs=args.jobs)
-    all_pass = all(
-        row.theorem1_status == THEOREM1_PASS
-        for row in rows
-        if row.hypothesis is not None and row.hypothesis.satisfied
+    return _Result(
+        EXIT_OK if all_pass else EXIT_VERIFICATION_FAILED,
+        "sweep",
+        echo,
+        {"rows": [_sweep_row_payload(row) for row in rows]},
+        SWEEP_CSV_COLUMNS,
+        table,
+        lines,
+        csv_prefix=False,
     )
-    status = STATUS_OK if all_pass else STATUS_VERIFICATION_FAILED
-    echo = {
-        "k_range": f"{args.k_range[0]}:{args.k_range[1]}",
-        "p_range": f"{args.p_range[0]}:{args.p_range[1]}",
-        "n_max": str(n_max),
-        "jobs": args.jobs,
-    }
-    payload = {"rows": [_sweep_row_payload(row) for row in rows]}
-    envelope = _envelope("sweep", echo, status, payload, args)
-    _emit(args, fmt, envelope, _sweep_csv(rows), _sweep_text(rows))
-    return EXIT_OK if all_pass else EXIT_VERIFICATION_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -886,7 +708,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        return args.handler(args)
+        config = _load_config(args.config) if args.config else {}
+        fmt = _format_from(args, config)
+        result = args.handler(args, config)
+        _write_output(_render(result, fmt, args.timestamps), getattr(args, "out", None))
+        return result.code
     except PreconditionError as exc:  # safety net; verify renders its own
         print(f"zorbit: precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
