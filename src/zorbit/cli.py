@@ -23,7 +23,8 @@ from datetime import datetime, timezone
 from .dynamics import (
     CycleCensus,
     SweepRow,
-    THEOREM1_PASS,
+    THEOREM1_ERROR,
+    THEOREM1_FAIL,
     cycle_census,
     sweep,
     verify_theorem1,
@@ -542,11 +543,8 @@ def _sweep_row_payload(row: SweepRow) -> dict:
 def _cmd_sweep(args: argparse.Namespace, config: dict[str, str]) -> _Result:
     n_max = _n_max_from(args, config, default=DEFAULT_N_MAX)
     rows = sweep(args.k_range, args.p_range, n_max, jobs=args.jobs)
-    all_pass = all(
-        row.theorem1_status == THEOREM1_PASS
-        for row in rows
-        if row.hypothesis is not None and row.hypothesis.satisfied
-    )
+    # a cell that errored is as unverified as one that failed
+    all_pass = not any(row.theorem1_status in (THEOREM1_FAIL, THEOREM1_ERROR) for row in rows)
     echo = {
         "k_range": f"{args.k_range[0]}:{args.k_range[1]}",
         "p_range": f"{args.p_range[0]}:{args.p_range[1]}",

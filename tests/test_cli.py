@@ -305,6 +305,14 @@ def test_sweep_exit_codes_follow_theorem1_verdicts():
     assert row["hypothesis"]["satisfied"] is True
     assert row["theorem1_status"] == "fail"
     assert ["6"] in [c["values"] for c in row["cycles"]]
+    # a cell that cannot be evaluated at all (p beyond 32 bits) is a failure too
+    errored = run_cli(
+        "sweep", "--k-range", "5:5", "--p-range", "4294967297:4294967297", "--n-max", "10"
+    )
+    assert errored.returncode == 1
+    envelope = json.loads(errored.stdout)
+    assert envelope["status"] == "verification_failed"
+    assert envelope["payload"]["rows"][0]["theorem1_status"] == "error"
 
 
 def test_sweep_bytes_identical_across_jobs(tmp_path):
