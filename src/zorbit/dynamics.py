@@ -12,6 +12,7 @@ inside the box.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import random
 from array import array
 from dataclasses import dataclass
@@ -527,7 +528,8 @@ def sweep(
 
     Cells outside the library domain (k < 3 or p < 2) become skipped rows
     with a reason; per-cell failures are captured in the row.  Rows come
-    back in (k, p) lexicographic order regardless of ``jobs``.
+    back in (k, p) lexicographic order regardless of ``jobs``.  At most
+    ``min(jobs, cells, CPU count)`` worker processes start.
     """
     k_lo, k_hi = k_range
     p_lo, p_hi = p_range
@@ -538,8 +540,9 @@ def sweep(
     if jobs < 1:
         raise ParameterDomainError(f"jobs must be >= 1, got {jobs}")
     cells = [(k, p, n_max) for k in range(k_lo, k_hi + 1) for p in range(p_lo, p_hi + 1)]
-    if jobs > 1 and len(cells) > 1:
-        with multiprocessing.Pool(processes=jobs) as pool:
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with multiprocessing.Pool(processes=workers) as pool:
             rows = pool.map(_sweep_cell, cells)
     else:
         rows = [_sweep_cell(cell) for cell in cells]

@@ -379,6 +379,33 @@ def test_sweep_jobs_do_not_change_rows():
     assert sequential == parallel
 
 
+@pytest.mark.parametrize("cpus, expected", [(16, 3), (2, 2), (None, None)])
+def test_sweep_pool_size_is_clamped(monkeypatch, cpus, expected):
+    # jobs=64 over 3 cells: the pool is capped by the cell count and the CPU
+    # count (unknown counts as 1, which runs in-process); a fake pool records
+    # the size it was asked for, so no real worker ever starts
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return [func(item) for item in items]
+
+    monkeypatch.setattr("zorbit.dynamics.multiprocessing.Pool", FakePool)
+    monkeypatch.setattr("zorbit.dynamics.os.cpu_count", lambda: cpus)
+    rows = sweep((5, 5), (3, 5), n_max=50, jobs=64)
+    assert started == ([] if expected is None else [expected])
+    assert rows == sweep((5, 5), (3, 5), n_max=50, jobs=1)
+
+
 def test_sweep_captures_cell_errors():
     rows = sweep((2**32 + 1, 2**32 + 1), (3, 3), n_max=10)
     assert rows[0].theorem1_status == THEOREM1_ERROR
