@@ -692,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="parallel worker count (output bytes do not depend on it)",
+        help="parallel worker count (CSV/text bytes do not depend on it; JSON echoes it)",
     )
     p_sweep.set_defaults(handler=_cmd_sweep)
 

@@ -315,43 +315,37 @@ def test_sweep_exit_codes_follow_theorem1_verdicts():
     assert envelope["payload"]["rows"][0]["theorem1_status"] == "error"
 
 
-def test_sweep_bytes_identical_across_jobs(tmp_path):
-    out_1 = tmp_path / "jobs1.csv"
-    out_8 = tmp_path / "jobs8.csv"
-    run_1 = run_cli(
-        "sweep",
-        "--k-range",
-        "5:12",
-        "--p-range",
-        "3:5",
-        "--n-max",
-        "2000",
-        "--format",
-        "csv",
-        "--jobs",
-        "1",
-        "--out",
-        str(out_1),
-    )
-    run_8 = run_cli(
-        "sweep",
-        "--k-range",
-        "5:12",
-        "--p-range",
-        "3:5",
-        "--n-max",
-        "2000",
-        "--format",
-        "csv",
-        "--jobs",
-        "8",
-        "--out",
-        str(out_8),
-    )
-    # the range contains genuinely failing cells, so the exit code reports 1;
-    # determinism is about the bytes and the verdicts matching across jobs
-    assert run_1.returncode == run_8.returncode == 1
-    assert out_1.read_bytes() == out_8.read_bytes()
+@pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+def test_sweep_bytes_identical_across_jobs(tmp_path, fmt):
+    outputs = []
+    for jobs in ("1", "8"):
+        out = tmp_path / f"jobs{jobs}.{fmt}"
+        result = run_cli(
+            "sweep",
+            "--k-range",
+            "5:12",
+            "--p-range",
+            "3:5",
+            "--n-max",
+            "2000",
+            "--format",
+            fmt,
+            "--jobs",
+            jobs,
+            "--out",
+            str(out),
+        )
+        # the range contains genuinely failing cells, so the exit code reports 1;
+        # determinism is about the bytes and the verdicts matching across jobs
+        assert result.returncode == 1
+        outputs.append(out.read_bytes())
+    if fmt == "json":
+        # the envelope echoes --jobs in params; everything else must match
+        doc = json.loads(outputs[1])
+        assert doc["params"]["jobs"] == 8
+        doc["params"]["jobs"] = 1
+        outputs[1] = (json.dumps(doc, indent=2) + "\n").encode()
+    assert outputs[0] == outputs[1]
 
 
 def test_sweep_json_csv_fact_projection():
