@@ -723,5 +723,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Console-script entry point."""
+    """Entry point of the ``zorbit`` console script and ``python -m zorbit``.
+
+    Starts of any size are accepted, so the interpreter's cap on the digits
+    of int/str conversions is lifted for the command-line process.
+    """
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     sys.exit(main())

@@ -124,6 +124,25 @@ def test_orbit_csv_matches_json_facts():
         assert int(row["cycle_length"]) == payload["cycle_length"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_orbit_huge_start_every_format(fmt):
+    # 10**4 decimal digits is past the interpreter's default int/str limit
+    start = "7" * 10_000
+    result = run_cli("orbit", start, "--k", "137", "--p", "11", "--format", fmt)
+    assert result.returncode == 0, result.stderr[:300]
+    if fmt == "json":
+        payload = json.loads(result.stdout)["payload"]
+        assert payload["trace"][0]["value"] == start
+        assert payload["cycle"] == ["1", "2"]
+    elif fmt == "csv":
+        rows = parse_csv(result.stdout)
+        assert rows[0]["value"] == start
+        assert rows[-1]["value"] in ("1", "2")
+    else:
+        assert result.stdout.startswith(f"orbit n={start} (k=137, p=11)\n")
+        assert "\ncycle: 1 -> 2\n" in result.stdout
+
+
 # -- check -------------------------------------------------------------------
 
 
