@@ -458,7 +458,6 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> _Result:
         f"verify theorem {theorem} k={params.k} p={params.p} n_max={n_max}: "
         + ("pass" if passed else "FAIL")
     ]
-
     if theorem == 1:
         counter = None
         if report.counterexample is not None:
