@@ -65,30 +65,43 @@ class UsageError(Exception):
 # argument plumbing
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+_ECHO_CHARS = 40  # arguments may be megabytes long; errors echo only a head
+
+
+def _echo(text: str) -> str:
+    if len(text) <= _ECHO_CHARS:
+        return repr(text)
+    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
+
+
+def _int_at_least(text: str, low: int, requirement: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {_echo(text)}") from None
+    if value < low:
+        raise argparse.ArgumentTypeError(f"{requirement}, got {_echo(text)}")
     return value
+
+
+def _nonneg_int(text: str) -> int:
+    return _int_at_least(text, 0, "must be nonnegative")
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
+    return _int_at_least(text, 1, "must be >= 1")
 
 
 def _int_range(text: str) -> tuple[int, int]:
     lo_text, sep, hi_text = text.partition(":")
     if not sep:
-        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected LO:HI, got {_echo(text)}")
     try:
         lo, hi = int(lo_text), int(hi_text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected LO:HI integers, got {text!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO:HI integers, got {_echo(text)}") from None
     if lo > hi:
-        raise argparse.ArgumentTypeError(f"range must satisfy LO <= HI, got {text!r}")
+        raise argparse.ArgumentTypeError(f"range must satisfy LO <= HI, got {_echo(text)}")
     return lo, hi
 
 

@@ -29,6 +29,47 @@ def _check_value(n: int) -> None:
         raise ParameterDomainError(f"value must be nonnegative, got {n}")
 
 
+# Values longer than this many bits are split into leaf chunks of at most
+# this many bits before any per-digit loop runs.  Peeling one digit per
+# divmod costs time linear in the value's length, so the loop is quadratic
+# overall.  Measured on CPython 3.11 (x86-64): splitting first is
+# break-even just above 1 kbit and 10-20x faster at 3*10**4 digits; 512-bit
+# leaves were up to 15 % faster at that size but up to 25 % slower than
+# the plain loop just above 512 bits.
+_LEAF_BITS = 1024
+
+
+def _leaf_chunks(n: int, k: int) -> Iterator[tuple[int, int]]:
+    """Split ``n > 0`` into base-``k`` leaf chunks, least significant first.
+
+    Yields ``(chunk, width)`` pairs: the chunk's digits, padded with zeros
+    to ``width`` digits, are the next digits of ``n``.  The top chunk has
+    width 0 (never padded), so no trailing zero digits appear; every chunk
+    is below ``2**_LEAF_BITS``.  ``n`` is divided by the repeated squares
+    ``P_i = k**(w * 2**i)``, built once per call, keeping ``x < P_i**2`` at
+    each node so both halves are below ``P_i``; a zero half below a nonzero
+    one is yielded at once as a zero chunk of the half's full width.
+    """
+    width = max(1, _LEAF_BITS // k.bit_length())
+    powers = [k**width]
+    # P**2 >= 2**(2 * P.bit_length() - 2) > n ends the chain.
+    while 2 * powers[-1].bit_length() - 2 < n.bit_length():
+        powers.append(powers[-1] * powers[-1])
+    # An explicit stack, not recursion: each node is dropped as soon as it
+    # is divided, which keeps the allocator's heap from growing call by call.
+    pending = [(n, len(powers) - 1, 0)]
+    while pending:
+        x, i, pad = pending.pop()
+        if i < 0 or not x:
+            yield x, pad
+            continue
+        hi, lo = divmod(x, powers[i])
+        half = width << i
+        if hi or pad:
+            pending.append((hi, i - 1, pad and half))
+        pending.append((lo, i - 1, half if hi or pad else 0))
+
+
 @dataclass(frozen=True)
 class KAdicDigits:
     """Canonical little-endian digit vector of a nonnegative integer.
@@ -49,9 +90,10 @@ class KAdicDigits:
         for d in digits:
             if not 0 <= d < self.base:
                 raise DigitDomainError(f"digit {d} outside [0, {self.base})")
-        while digits and digits[-1] == 0:
-            digits = digits[:-1]
-        object.__setattr__(self, "digits", digits)
+        end = len(digits)
+        while end and digits[end - 1] == 0:
+            end -= 1
+        object.__setattr__(self, "digits", digits[:end])
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -71,11 +113,22 @@ def to_digits(n: int, k: int) -> KAdicDigits:
     """
     _check_base(k)
     _check_value(n)
+    if n.bit_length() <= _LEAF_BITS:
+        return KAdicDigits(base=k, digits=tuple(_peel_digits(n, k)))
+    digits = []
+    for chunk, width in _leaf_chunks(n, k):
+        leaf = _peel_digits(chunk, k)
+        digits += leaf
+        digits += [0] * (width - len(leaf))
+    return KAdicDigits(base=k, digits=tuple(digits))
+
+
+def _peel_digits(n: int, k: int) -> list[int]:
     digits = []
     while n:
         n, d = divmod(n, k)
         digits.append(d)
-    return KAdicDigits(base=k, digits=tuple(digits))
+    return digits
 
 
 def from_digits(digits: Union[KAdicDigits, Sequence[int]], base: int | None = None) -> int:

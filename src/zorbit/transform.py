@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, ParameterDomainError
-from .kadic import MAX_BASE
+from .kadic import _LEAF_BITS, MAX_BASE, _leaf_chunks
 
 DEFAULT_MAX_STEPS = 10_000
 
@@ -80,11 +80,16 @@ def z_transform(n: int, params: Params) -> int:
 
     ``z_transform(0) == 0`` (empty digit sum).  The digit loop is inlined
     because this is the hot path of every census and sweep; it computes
-    exactly sum(digit_step(a, p) for a in to_digits(n, k)).
+    exactly sum(digit_step(a, p) for a in to_digits(n, k)).  Values longer
+    than the leaf size are first split into leaf chunks, as in ``to_digits``,
+    so a huge ``n`` costs a few big divisions, not one divmod per digit.
     """
     if n < 0:
         raise ParameterDomainError(f"value must be nonnegative, got {n}")
     k = params.k
+    if n.bit_length() > _LEAF_BITS:
+        # Exact because the digit 0 maps to 0: z(hi*k**w + lo) = z(hi) + z(lo).
+        return sum(z_transform(chunk, params) for chunk, _ in _leaf_chunks(n, k))
     p = params.p
     total = 0
     while n:

@@ -30,6 +30,15 @@ def z_by_digit_sum(n: int, k: int, p: int) -> int:
     return total
 
 
+def digits_by_divmod(n: int, k: int) -> list[int]:
+    """Little-endian base-k digits, one divmod per digit (empty for 0)."""
+    digits = []
+    while n:
+        n, d = divmod(n, k)
+        digits.append(d)
+    return digits
+
+
 def naive_orbit(n: int, k: int, p: int, max_steps: int = 10_000):
     """Seen-set orbit detection: list scan locates the first repeat.
 

@@ -6,10 +6,13 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+
+from oracles import z_by_digit_sum
 
 
 def run_cli(*argv: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
@@ -141,6 +144,20 @@ def test_orbit_huge_start_every_format(fmt):
     else:
         assert result.stdout.startswith(f"orbit n={start} (k=137, p=11)\n")
         assert "\ncycle: 1 -> 2\n" in result.stdout
+
+
+def test_orbit_hundred_thousand_digit_start_json():
+    rng = random.Random(100_000)
+    body = [rng.choice("0123456789") for _ in range(99_999)]
+    body[40_000:45_000] = "0" * 5_000  # a long zero run inside the start
+    start = "7" + "".join(body)
+    result = run_cli("orbit", start, "--k", "10", "--p", "5", "--format", "json")
+    assert result.returncode == 0, result.stderr[:300]
+    trace = json.loads(result.stdout)["payload"]["trace"]
+    assert trace[0]["value"] == start
+    assert trace[0]["digits"] == [int(c) for c in reversed(start)]
+    # The digit 0 maps to 0, so z is the sum of the oracle over single digits.
+    assert trace[1]["value"] == str(sum(z_by_digit_sum(int(c), 10, 5) for c in start))
 
 
 # -- check -------------------------------------------------------------------
@@ -433,6 +450,21 @@ def test_sweep_unwritable_out_exit_2(tmp_path):
 def test_usage_errors_exit_2(argv):
     result = run_cli(*argv)
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("orbit", "x" * 6_000, "--k", "10", "--p", "5"),
+        ("orbit", "-" + "7" * 6_000, "--k", "10", "--p", "5"),
+        ("census", "--k", "10", "--p", "5", "--n-max", "-" + "7" * 6_000),
+        ("sweep", "--k-range", "5" * 6_000, "--p-range", "3:3"),
+    ],
+)
+def test_long_bad_arguments_are_clipped_in_errors(argv):
+    result = run_cli(*argv)
+    assert result.returncode == 2
+    assert len(result.stderr.encode()) < 1_024, result.stderr[:300]
 
 
 # -- config file -------------------------------------------------------------

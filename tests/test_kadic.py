@@ -102,6 +102,11 @@ def test_kadic_digits_validates_and_trims():
         KAdicDigits(base=5, digits=(6,))
 
 
+def test_kadic_digits_trims_a_long_zero_tail():
+    # one slice, not one per zero: slicing per zero was quadratic in the tail
+    assert len(KAdicDigits(base=10, digits=(1,) + (0,) * 30_000)) == 1
+
+
 def test_huge_value_round_trip():
     n = 10**120 + 12345
     assert from_digits(to_digits(n, 137)) == n
