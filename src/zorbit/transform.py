@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, ParameterDomainError
-from .kadic import _LEAF_BITS, MAX_BASE, _leaf_chunks
+from .kadic import MAX_BASE, _LEAF_BITS, _leaf_chunks
 
 DEFAULT_MAX_STEPS = 10_000
 
