@@ -5,8 +5,9 @@ sweeps): a JSON envelope, a CSV flattening, or a human-readable text
 rendering.  Output bytes are deterministic for identical arguments; the
 optional --timestamps flag adds a wall clock outside the payload.
 
-Exit codes: 0 pass, 1 verification failure, 2 usage/IO error,
-3 precondition (hypothesis condition) failure.
+Exit codes: 0 pass, 1 verification failure, 2 usage/IO error or out of
+memory, 3 precondition (hypothesis condition) failure, 130 interrupted
+(Ctrl-C).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
+EXIT_INTERRUPTED = 130  # the shell's 128 + SIGINT
 
 STATUS_OK = "ok"
 STATUS_VERIFICATION_FAILED = "verification_failed"
@@ -732,6 +734,12 @@ def main(argv: list[str] | None = None) -> int:
     except ZorbitError as exc:
         print(f"zorbit: error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
+    except MemoryError:
+        print("zorbit: error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("zorbit: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def run() -> None:

@@ -7,6 +7,11 @@ into a certified finite box [0, B] that no orbit ever leaves; everything
 else here (cycle enumeration, fixed points, the collapse verifiers, and
 parameter sweeps) reduces to finite, exhaustively checked computation
 inside the box.
+
+One engine serves them all: ``_FunctionalGraph`` resolves the box once,
+recording each node's cycle and its depth (steps to that cycle), and
+``_census_from_graph`` walks each start above the box down into it once,
+counting basins and the longest transient in the same walk.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import os
 import random
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import AbsorptionError, ParameterDomainError, PreconditionError
 from .hypothesis import HypothesisReport, check_a, check_all
@@ -100,12 +106,15 @@ def _canonical_rotation(members: list[int]) -> tuple[int, ...]:
 
 
 class _FunctionalGraph:
-    """Memoized resolution of the step map over the absorbing box [0, B].
+    """The step map over the absorbing box [0, B], resolved in one pass.
 
-    Each node's destination cycle is resolved exactly once, walking paths
-    with an explicit stack (no recursion).  Cycles are stored sorted by
-    minimum element.  ``depth`` additionally memoizes how many steps a
-    node needs to enter its cycle.
+    Every node is walked exactly once, with an explicit stack (no
+    recursion).  ``cycle_id[n]`` indexes ``cycles`` (in the order the walk
+    met them) at the cycle the orbit of n ends in; ``depth[n]`` is the
+    number of steps n takes to enter that cycle (0 on the cycle).  While
+    resolving, ``cycle_id`` holds -1 for unseen nodes and -2 for nodes on
+    the walk in progress, so a walk that meets its own path has closed a
+    new cycle.
     """
 
     def __init__(self, params: Params):
@@ -114,7 +123,7 @@ class _FunctionalGraph:
         self.bound = absorbing_bound(params)
         size = self.bound + 1
         self.cycle_id = array("l", [-1]) * size
-        self._depth = array("l", [-1]) * size
+        self.depth = array("l", [0]) * size
         self.cycles: tuple[tuple[int, ...], ...] = ()
         self._resolve_cycles()
 
@@ -122,79 +131,35 @@ class _FunctionalGraph:
         step = self.step
         bound = self.bound
         cycle_id = self.cycle_id
-        depth = self._depth
+        depth = self.depth
         found: list[tuple[int, ...]] = []
         for start in range(bound + 1):
-            if cycle_id[start] >= 0:
+            if cycle_id[start] != -1:
                 continue
             path: list[int] = []
-            on_path: dict[int, int] = {}
             current = start
-            while cycle_id[current] < 0 and current not in on_path:
-                on_path[current] = len(path)
+            while cycle_id[current] == -1:
+                cycle_id[current] = -2
                 path.append(current)
                 current = step(current)
                 if current > bound:
                     raise AbsorptionError(
                         f"step left the certified box [0, {bound}] from {path[-1]}"
                     )
-            if cycle_id[current] >= 0:
-                cid = cycle_id[current]
-            else:
-                members = path[on_path[current] :]
+            cid = cycle_id[current]
+            if cid == -2:
+                entry = path.index(current)
                 cid = len(found)
-                found.append(_canonical_rotation(members))
-                for v in members:
-                    depth[v] = 0
-            for v in path:
+                found.append(_canonical_rotation(path[entry:]))
+                for v in path[entry:]:
+                    cycle_id[v] = cid
+                del path[entry:]
+            steps = depth[current]
+            for v in reversed(path):
+                steps += 1
+                depth[v] = steps
                 cycle_id[v] = cid
-        order = sorted(range(len(found)), key=lambda i: found[i][0])
-        remap = [0] * len(found)
-        for new_id, old_id in enumerate(order):
-            remap[old_id] = new_id
-        self.cycles = tuple(found[i] for i in order)
-        for i in range(bound + 1):
-            cycle_id[i] = remap[cycle_id[i]]
-
-    def descend(self, n: int) -> tuple[int, int]:
-        """Walk n down into [0, bound]; returns (landing value, steps taken).
-
-        Checks strict descent at every step above the bound, so a broken
-        certificate surfaces as AbsorptionError instead of a wrong census.
-        """
-        step = self.step
-        bound = self.bound
-        taken = 0
-        while n > bound:
-            nxt = step(n)
-            if nxt >= n:
-                raise AbsorptionError(
-                    f"descent violated above certified bound {bound}: z({n}) = {nxt}"
-                )
-            n = nxt
-            taken += 1
-        return n, taken
-
-    def resolve(self, n: int) -> int:
-        """Index into ``cycles`` of the cycle the orbit of n terminates in."""
-        landed, _ = self.descend(n)
-        return self.cycle_id[landed]
-
-    def depth(self, n: int) -> int:
-        """Number of steps before the orbit of n first enters its cycle."""
-        landed, above = self.descend(n)
-        depth = self._depth
-        step = self.step
-        stack: list[int] = []
-        current = landed
-        while depth[current] < 0:
-            stack.append(current)
-            current = step(current)
-        value = depth[current]
-        while stack:
-            value += 1
-            depth[stack.pop()] = value
-        return value + above
+        self.cycles = tuple(found)
 
 
 @dataclass(frozen=True)
@@ -236,40 +201,59 @@ def cycle_census(params: Params, extra_range: int | None = None) -> CycleCensus:
     The scanned range is [0, max(absorbing_bound, extra_range)].  Cycles
     are reported in canonical rotation, sorted by minimum element.
     """
-    return _census_from_graph(_FunctionalGraph(params), extra_range)
+    return _census_from_graph(_FunctionalGraph(params), extra_range)[0]
 
 
-def _census_from_graph(graph: _FunctionalGraph, extra_range: int | None) -> CycleCensus:
+def _census_from_graph(graph: _FunctionalGraph, n_max: int | None) -> tuple[CycleCensus, int]:
+    """The census of [0, max(B, n_max)] and the longest transient in [1, n_max].
+
+    Each start above B is descended once; strict descent is checked at
+    every step, so a broken certificate surfaces as AbsorptionError
+    instead of a wrong census.  ``n_max`` defaults to B.
+    """
+    step = graph.step
     bound = graph.bound
-    hi = bound if extra_range is None else max(bound, extra_range)
-    counts = [0] * len(graph.cycles)
     cycle_id = graph.cycle_id
-    for n in range(bound + 1):
-        counts[cycle_id[n]] += 1
-    descend = graph.descend
+    depth = graph.depth
+    top = bound if n_max is None else n_max
+    hi = max(bound, top)
+    counts = [0] * len(graph.cycles)
+    for cid in cycle_id:
+        counts[cid] += 1
+    longest = max(islice(depth, 1, min(bound, top) + 1), default=0)  # a slice would copy
     for n in range(bound + 1, hi + 1):
-        landed, _ = descend(n)
-        counts[cycle_id[landed]] += 1
+        current = n
+        taken = 0
+        while current > bound:
+            nxt = step(current)
+            if nxt >= current:
+                raise AbsorptionError(
+                    f"descent violated above certified bound {bound}: z({current}) = {nxt}"
+                )
+            current = nxt
+            taken += 1
+        counts[cycle_id[current]] += 1
+        taken += depth[current]
+        if taken > longest:
+            longest = taken
+    # Cycles are disjoint, so ordering by values orders by minimum element.
     cycles = tuple(
-        Cycle(values=values, basin_size=counts[cid])
-        for cid, values in enumerate(graph.cycles)
+        Cycle(values=values, basin_size=count)
+        for values, count in sorted(zip(graph.cycles, counts))
     )
-    return CycleCensus(
-        params=graph.params,
-        absorbing_bound=bound,
-        cycles=cycles,
-        scanned_range=(0, hi),
+    census = CycleCensus(
+        params=graph.params, absorbing_bound=bound, cycles=cycles, scanned_range=(0, hi)
     )
+    return census, longest
 
 
 def fixed_points(params: Params) -> list[int]:
     """All n in [0, absorbing_bound] with z(n) = n.
 
-    Any fixed point is a cycle, and every cycle lies inside the absorbing
-    box, so the scan is complete.
+    Any fixed point is a cycle of length 1, and every cycle lies inside
+    the absorbing box, so the census lists them all, in ascending order.
     """
-    step = _make_stepper(params)
-    return [n for n in range(absorbing_bound(params) + 1) if step(n) == n]
+    return [c.values[0] for c in cycle_census(params).cycles if c.length == 1]
 
 
 def classify_cycle(cycle: Cycle) -> str:
@@ -364,24 +348,21 @@ class Theorem1Report:
     census: CycleCensus
 
 
-def _positive_cycle_verdict(
-    graph: _FunctionalGraph, census: CycleCensus
-) -> tuple[bool, OrbitTrace | None]:
-    """Decide whether {1, 2} is the only positive cycle in the census.
+def _positive_cycle_verdict(graph: _FunctionalGraph) -> tuple[bool, OrbitTrace | None]:
+    """Decide whether {1, 2} is the only positive cycle in the box.
 
-    On failure returns the orbit of the smallest scanned start that lands
-    in an offending cycle (cycle members are themselves scanned starts,
-    so a witness always exists).
+    On failure returns the orbit of the smallest start that lands in an
+    offending cycle.  Every cycle member lies in the box and an offending
+    cycle has only positive members, so that start is at most B.
     """
     bad_ids = {
         cid for cid, values in enumerate(graph.cycles) if set(values) not in ({0}, {1, 2})
     }
     if not bad_ids:
         return True, None
-    for n in range(1, census.scanned_range[1] + 1):
-        if graph.resolve(n) in bad_ids:
-            return False, orbit(n, graph.params)
-    raise AssertionError("offending cycle exists but no scanned start reaches it")
+    cycle_id = graph.cycle_id
+    witness = next(n for n in range(1, graph.bound + 1) if cycle_id[n] in bad_ids)
+    return False, orbit(witness, graph.params)
 
 
 def verify_theorem1(params: Params, n_max: int) -> Theorem1Report:
@@ -402,8 +383,8 @@ def verify_theorem1(params: Params, n_max: int) -> Theorem1Report:
             f"condition(s) {names} fail for k={params.k}, p={params.p}", failed=failed
         )
     graph = _FunctionalGraph(params)
-    census = _census_from_graph(graph, n_max)
-    passed, counterexample = _positive_cycle_verdict(graph, census)
+    census, _ = _census_from_graph(graph, n_max)
+    passed, counterexample = _positive_cycle_verdict(graph)
     return Theorem1Report(
         params=params,
         n_max=n_max,
@@ -496,10 +477,9 @@ def _sweep_cell(cell: tuple[int, int, int]) -> SweepRow:
         params = Params(k, p)
         hyp = check_all(params)
         graph = _FunctionalGraph(params)
-        census = _census_from_graph(graph, n_max)
-        max_transient = max(graph.depth(n) for n in range(1, n_max + 1))
+        census, max_transient = _census_from_graph(graph, n_max)
         if hyp.satisfied:
-            clean = all(set(c.values) in ({0}, {1, 2}) for c in census.cycles)
+            clean, _ = _positive_cycle_verdict(graph)
             status = THEOREM1_PASS if clean else THEOREM1_FAIL
         else:
             status = THEOREM1_NOT_CHECKED

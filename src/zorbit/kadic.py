@@ -169,6 +169,11 @@ def digit_count(n: int, k: int) -> int:
     if n == 0:
         return 1
     count = 0
+    if n.bit_length() > _LEAF_BITS:
+        # Every leaf but the last (the top, of width 0) holds exactly
+        # ``width`` digits; the loop below counts the top leaf's digits.
+        for n, width in _leaf_chunks(n, k):
+            count += width
     while n:
         n //= k
         count += 1

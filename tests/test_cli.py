@@ -12,6 +12,8 @@ import sys
 
 import pytest
 
+from zorbit import cli
+
 from oracles import z_by_digit_sum
 
 
@@ -465,6 +467,26 @@ def test_long_bad_arguments_are_clipped_in_errors(argv):
     result = run_cli(*argv)
     assert result.returncode == 2
     assert len(result.stderr.encode()) < 1_024, result.stderr[:300]
+
+
+@pytest.mark.parametrize(
+    "raised, code, message",
+    [
+        (MemoryError, 2, "zorbit: error: out of memory\n"),
+        (KeyboardInterrupt, 130, "zorbit: interrupted\n"),
+    ],
+    ids=["memory", "interrupt"],
+)
+def test_memory_error_and_interrupt_exit_codes(monkeypatch, capsys, raised, code, message):
+    # in-process, with a handler that raises: no memory is really exhausted
+    def handler(args, config):
+        raise raised()
+
+    monkeypatch.setattr(cli, "_cmd_check", handler)
+    assert cli.main(["check", "--k", "5", "--p", "3"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
 
 
 # -- config file -------------------------------------------------------------

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import count
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zorbit.dynamics import (
     LABEL_FIXED_POINT,
@@ -153,14 +157,35 @@ def test_census_matches_independent_orbits(k, p):
     assert {c.values for c in census.cycles} == expected
 
 
-def test_graph_depth_matches_naive_preperiod():
-    rng = random.Random(1357)
-    for k, p in [(5, 3), (10, 5), (137, 11), (9, 4)]:
-        graph = _FunctionalGraph(Params(k, p))
-        for _ in range(200):
-            n = rng.randrange(0, 100_000)
-            _, lam, _ = naive_orbit(n, k, p)
-            assert graph.depth(n) == lam
+@st.composite
+def small_cell_and_range(draw) -> tuple[int, int, int]:
+    """A cell with box B <= 5 000 and a range end N below or above B."""
+    k = draw(st.integers(min_value=3, max_value=300))
+    p = draw(st.integers(min_value=2, max_value=40))
+    bound = absorbing_bound(Params(k, p))
+    assume(bound <= 5_000)
+    n_max = draw(st.one_of(st.integers(1, bound), st.integers(bound + 1, 30_000)))
+    return k, p, n_max
+
+
+@given(small_cell_and_range())
+@settings(max_examples=25, deadline=None)
+def test_census_and_sweep_match_naive_orbits(case):
+    # basins and the longest transient against per-start naive orbits
+    k, p, n_max = case
+    params = Params(k, p)
+    census = cycle_census(params, n_max)
+    hi = max(census.absorbing_bound, n_max)
+    assert census.scanned_range == (0, hi)
+    tally: Counter = Counter()
+    longest = 0
+    for n in range(hi + 1):
+        values, lam, cycle_length = naive_orbit(n, k, p)
+        tally[canonical_cycle(values, lam, cycle_length)] += 1
+        if 1 <= n <= n_max:
+            longest = max(longest, lam)
+    assert {c.values: c.basin_size for c in census.cycles} == dict(tally)
+    assert sweep((k, k), (p, p), n_max)[0].max_transient == longest
 
 
 # -- fixed points ------------------------------------------------------------
@@ -238,6 +263,14 @@ def test_verify_theorem1_precondition_names_conditions():
     assert info.value.failed == ("c",)
 
 
+def smallest_offending_start(k: int, p: int) -> int:
+    """The least n >= 1 whose naive orbit ends outside {0} and {1, 2}."""
+    for n in count(1):
+        values, lam, cycle_length = naive_orbit(n, k, p)
+        if set(values[lam : lam + cycle_length]) not in ({0}, {1, 2}):
+            return n
+
+
 def test_verify_theorem1_reports_genuine_fixed_point_failure():
     # (9, 5) satisfies all three conditions, yet 6 = 1*5 + 1 is a single
     # digit mapping to 2*3 = 6: a fixed point the verifier must surface
@@ -252,18 +285,23 @@ def test_verify_theorem1_reports_genuine_fixed_point_failure():
     assert (6,) in [c.values for c in report.census.cycles]
 
 
+@pytest.mark.parametrize("k,p", [(9, 5), (23, 4), (295, 10)])
+def test_counterexample_starts_at_smallest_offending_start(k, p):
+    # one-digit (6 at k=9) and two-digit (44 at k=23, 871 at k=295) fixed points
+    report = verify_theorem1(Params(k, p), n_max=10_000)
+    assert not report.passed
+    assert report.counterexample.values[0] == smallest_offending_start(k, p)
+
+
 def test_positive_cycle_verdict_failure_branch():
     # bypass the precondition to exercise the counterexample machinery on
     # parameters that genuinely host an extra cycle
-    params = Params(5, 3)
-    graph = _FunctionalGraph(params)
-    from zorbit.dynamics import _census_from_graph
-
-    census = _census_from_graph(graph, 100)
-    passed, counterexample = _positive_cycle_verdict(graph, census)
+    graph = _FunctionalGraph(Params(5, 3))
+    passed, counterexample = _positive_cycle_verdict(graph)
     assert not passed
     assert counterexample is not None
     assert counterexample.values == (4, 6, 4)  # smallest offending start
+    assert counterexample.values[0] == smallest_offending_start(5, 3)
 
 
 def test_verify_theorem2_k5_p3():
@@ -318,12 +356,10 @@ def test_census_and_orbit_agree_on_random_starts():
         params = Params(k, p)
         census = cycle_census(params)
         cycle_sets = [set(c.values) for c in census.cycles]
-        graph = _FunctionalGraph(params)
         for _ in range(250):
             n = rng.randrange(0, 10**7)
             trace = orbit(n, params)
             assert set(trace.cycle) in cycle_sets
-            assert set(graph.cycles[graph.resolve(n)]) == set(trace.cycle)
 
 
 # -- sweep -------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Huge values: the divide-and-conquer digit split against per-digit oracles.
 
-``to_digits`` and ``z_transform`` split values longer than the leaf size
-into leaf chunks before any per-digit loop runs.  The inputs straddle
+``to_digits``, ``digit_count`` and ``z_transform`` split values longer
+than the leaf size into leaf chunks before any per-digit loop runs.  The inputs straddle
 that size and aim at the splitter's edges: powers ``k**m`` and their
 neighbours at power-of-two ``m`` (where the squares ``k**(w * 2**i)`` it
 divides by sit), and long runs of zero digits (zero halves that must be
@@ -13,7 +13,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zorbit.kadic import _LEAF_BITS, from_digits, to_digits
+from zorbit.kadic import _LEAF_BITS, digit_count, from_digits, to_digits
 from zorbit.transform import Params, z_transform
 
 from oracles import digits_by_divmod, z_by_digit_sum
@@ -59,6 +59,7 @@ def test_to_digits_matches_divmod_oracle(case):
     digits = to_digits(n, k)
     assert list(digits) == digits_by_divmod(n, k)
     assert from_digits(digits) == n
+    assert digit_count(n, k) == len(digits_by_divmod(n, k))
 
 
 @given(base_and_value, moduli)
