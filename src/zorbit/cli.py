@@ -76,11 +76,15 @@ def _echo(text: str) -> str:
     return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
 
 
-def _int_at_least(text: str, low: int, requirement: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {_echo(text)}") from None
+
+
+def _int_at_least(text: str, low: int, requirement: str) -> int:
+    value = _int(text)
     if value < low:
         raise argparse.ArgumentTypeError(f"{requirement}, got {_echo(text)}")
     return value
@@ -124,7 +128,7 @@ def _load_config(path: str) -> dict[str, str]:
             raise UsageError(f"{path}:{lineno}: expected key = value")
         key = key.strip().lower().replace("-", "_")
         if key not in CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise UsageError(f"{path}:{lineno}: unknown config key {_echo(key)}")
         values[key] = value.strip().strip("\"'")
     return values
 
@@ -135,7 +139,9 @@ def _config_int(config: dict[str, str], key: str) -> int | None:
     try:
         return int(config[key])
     except ValueError as exc:
-        raise UsageError(f"config key {key} must be an integer, got {config[key]!r}") from exc
+        raise UsageError(
+            f"config key {key} must be an integer, got {_echo(config[key])}"
+        ) from exc
 
 
 def _params_from(args: argparse.Namespace, config: dict[str, str]) -> Params:
@@ -151,7 +157,7 @@ def _format_from(args: argparse.Namespace, config: dict[str, str]) -> str:
     if fmt is None:
         return DEFAULT_FORMAT
     if fmt not in ("json", "csv", "text"):
-        raise UsageError(f"unknown format {fmt!r} (expected json, csv, or text)")
+        raise UsageError(f"unknown format {_echo(fmt)} (expected json, csv, or text)")
     return fmt
 
 
@@ -172,7 +178,7 @@ def _max_steps_from(args: argparse.Namespace) -> int:
         try:
             value = int(raw)
         except ValueError as exc:
-            raise UsageError(f"{ENV_MAX_STEPS} must be an integer, got {raw!r}") from exc
+            raise UsageError(f"{ENV_MAX_STEPS} must be an integer, got {_echo(raw)}") from exc
     else:
         value = DEFAULT_MAX_STEPS
     if value < 1:
@@ -631,8 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="add a wall-clock timestamp outside the payload",
     )
     pair = argparse.ArgumentParser(add_help=False)
-    pair.add_argument("--k", type=int, help="digit base (k >= 3)")
-    pair.add_argument("--p", type=int, help="digit modulus (p >= 2)")
+    pair.add_argument("--k", type=_int, help="digit base (k >= 3)")
+    pair.add_argument("--p", type=_int, help="digit modulus (p >= 2)")
 
     sub = parser.add_subparsers(metavar="COMMAND")
 
@@ -647,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbit.add_argument(
         "--max-steps",
         dest="max_steps",
-        type=int,
+        type=_int,
         help=f"iteration budget (default {DEFAULT_MAX_STEPS}; env {ENV_MAX_STEPS})",
     )
     p_orbit.set_defaults(handler=_cmd_orbit)
@@ -678,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run an exhaustive desk-scale verifier",
     )
     p_verify.add_argument(
-        "--theorem", type=int, choices=(1, 2), required=True, help="which verifier to run"
+        "--theorem", type=_int, choices=(1, 2), required=True, help="which verifier to run"
     )
     p_verify.add_argument(
         "--n-max",

@@ -1,4 +1,4 @@
-"""Absorbing bounds, complete cycle censuses, and empirical verifiers.
+"""Absorbing bounds, complete cycle censuses, and exact verifiers.
 
 The per-digit map never exceeds ``(t+1)*(t+2)`` on a single digit, so an
 m-digit value transforms to at most ``m*(t+1)*(t+2)``, which falls below
@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import random
 from array import array
 from dataclasses import dataclass
 from itertools import islice
 
 from .errors import AbsorptionError, ParameterDomainError, PreconditionError
 from .hypothesis import HypothesisReport, check_a, check_all
-from .kadic import digit_count, from_digits
+from .kadic import digit_count
 from .transform import OrbitTrace, Params, digit_step, orbit
 
 LABEL_UNIVERSAL = "universal_2cycle"
@@ -269,72 +268,35 @@ def classify_cycle(cycle: Cycle) -> str:
 
 
 @dataclass(frozen=True)
-class Lemma2Violation:
-    m: int
-    n: int
-    transformed: int
-    bound: int
-
-
-@dataclass(frozen=True)
 class Lemma2Report:
-    """Outcome of the digit-shrink sweep z(n) < k**(m-1) over m >= 3."""
+    """Exact certificate of the digit shrink z(n) < k**(m-1) for every m >= 3.
+
+    ``peak`` is the largest transform of any 3-digit value.
+    """
 
     params: Params
-    m_max: int
-    samples_per_m: int
-    seed: int
-    checked: int
-    violations: tuple[Lemma2Violation, ...]
+    peak: int
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return self.peak < self.params.k**2
 
 
-def verify_lemma2(params: Params, m_max: int, samples_per_m: int, seed: int) -> Lemma2Report:
-    """Check that every sampled m-digit value shrinks below k**(m-1).
+def verify_lemma2(params: Params) -> Lemma2Report:
+    """Decide whether every value with m >= 3 digits shrinks below k**(m-1).
 
-    For each m in [3, m_max] draws ``samples_per_m`` values uniformly from
-    [k**(m-1), k**m) with a deterministic generator seeded by ``seed``
-    (leading digit nonzero by construction), plus the two extremal digit
-    patterns: all digits k-1 and all digits t*p + 1 (the digit with the
-    maximal image).  Requires condition (a).
+    The largest transform of an m-digit value is exactly
+    ``z_upper_bound(m, params)``, attained when every digit is t*p + 1
+    (nonzero and below k).  So m = 3 decides every m: from one m to the
+    next the cap grows by (m+1)/m <= 2 < k, while k**(m-1) grows by k.
+    Requires condition (a), under which the certificate always passes.
     """
     if not check_a(params):
         raise PreconditionError(
             f"condition (a) does not hold for k={params.k}, p={params.p}",
             failed=("a",),
         )
-    if m_max < 3:
-        raise ParameterDomainError(f"m_max must be >= 3, got {m_max}")
-    if samples_per_m < 1:
-        raise ParameterDomainError(f"samples_per_m must be >= 1, got {samples_per_m}")
-    k = params.k
-    step = _make_stepper(params)
-    rng = random.Random(seed)
-    heaviest_digit = params.t * params.p + 1
-    violations: list[Lemma2Violation] = []
-    checked = 0
-    for m in range(3, m_max + 1):
-        lo = k ** (m - 1)
-        hi = k**m
-        batch = [rng.randrange(lo, hi) for _ in range(samples_per_m)]
-        batch.append(hi - 1)
-        batch.append(from_digits([heaviest_digit] * m, k))
-        for n in batch:
-            image = step(n)
-            checked += 1
-            if image >= lo:
-                violations.append(Lemma2Violation(m=m, n=n, transformed=image, bound=lo))
-    return Lemma2Report(
-        params=params,
-        m_max=m_max,
-        samples_per_m=samples_per_m,
-        seed=seed,
-        checked=checked,
-        violations=tuple(violations),
-    )
+    return Lemma2Report(params=params, peak=z_upper_bound(3, params))
 
 
 @dataclass(frozen=True)
@@ -348,21 +310,20 @@ class Theorem1Report:
     census: CycleCensus
 
 
-def _positive_cycle_verdict(graph: _FunctionalGraph) -> tuple[bool, OrbitTrace | None]:
-    """Decide whether {1, 2} is the only positive cycle in the box.
+def _positive_cycle_verdict(graph: _FunctionalGraph) -> int | None:
+    """The smallest start that lands in a positive cycle other than {1, 2}.
 
-    On failure returns the orbit of the smallest start that lands in an
-    offending cycle.  Every cycle member lies in the box and an offending
-    cycle has only positive members, so that start is at most B.
+    Returns None when {1, 2} is the only positive cycle in the box.  Every
+    cycle member lies in the box and an offending cycle has only positive
+    members, so that start is at most B.
     """
     bad_ids = {
         cid for cid, values in enumerate(graph.cycles) if set(values) not in ({0}, {1, 2})
     }
     if not bad_ids:
-        return True, None
+        return None
     cycle_id = graph.cycle_id
-    witness = next(n for n in range(1, graph.bound + 1) if cycle_id[n] in bad_ids)
-    return False, orbit(witness, graph.params)
+    return next(n for n in range(1, graph.bound + 1) if cycle_id[n] in bad_ids)
 
 
 def verify_theorem1(params: Params, n_max: int) -> Theorem1Report:
@@ -384,12 +345,12 @@ def verify_theorem1(params: Params, n_max: int) -> Theorem1Report:
         )
     graph = _FunctionalGraph(params)
     census, _ = _census_from_graph(graph, n_max)
-    passed, counterexample = _positive_cycle_verdict(graph)
+    witness = _positive_cycle_verdict(graph)
     return Theorem1Report(
         params=params,
         n_max=n_max,
-        passed=passed,
-        counterexample=counterexample,
+        passed=witness is None,
+        counterexample=None if witness is None else orbit(witness, params),
         census=census,
     )
 
@@ -479,7 +440,7 @@ def _sweep_cell(cell: tuple[int, int, int]) -> SweepRow:
         graph = _FunctionalGraph(params)
         census, max_transient = _census_from_graph(graph, n_max)
         if hyp.satisfied:
-            clean, _ = _positive_cycle_verdict(graph)
+            clean = _positive_cycle_verdict(graph) is None
             status = THEOREM1_PASS if clean else THEOREM1_FAIL
         else:
             status = THEOREM1_NOT_CHECKED

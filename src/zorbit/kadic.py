@@ -151,6 +151,24 @@ def from_digits(digits: Union[KAdicDigits, Sequence[int]], base: int | None = No
             raise ParameterDomainError("base is required with a raw digit sequence")
         seq = tuple(digits)
     _check_base(base)
+    # Leaf blocks of at most _LEAF_BITS bits by Horner's rule, then
+    # neighbours combined pairwise as lo + hi * base**width, squaring the
+    # power per level: one Horner pass over a long value is quadratic.
+    width = max(1, _LEAF_BITS // base.bit_length())
+    if len(seq) <= width:
+        return _horner(seq, base)
+    blocks = [_horner(seq[i : i + width], base) for i in range(0, len(seq), width)]
+    power = base**width
+    while len(blocks) > 1:
+        if len(blocks) % 2:
+            blocks.append(0)
+        blocks = [lo + hi * power for lo, hi in zip(blocks[::2], blocks[1::2])]
+        if len(blocks) > 1:
+            power *= power
+    return blocks[0]
+
+
+def _horner(seq: Sequence[int], base: int) -> int:
     value = 0
     for d in reversed(seq):
         if not 0 <= d < base:

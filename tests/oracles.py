@@ -8,6 +8,8 @@ agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+import random
+
 
 def digit_map_by_formula(a: int, p: int) -> int:
     """Per-digit map via the literal quotient formulas with exactness checks."""
@@ -69,6 +71,33 @@ def cycles_by_independent_orbits(k: int, p: int, bound: int) -> set[tuple[int, .
         values, lam, cycle_length = naive_orbit(n, k, p)
         found.add(canonical_cycle(values, lam, cycle_length))
     return found
+
+
+def lemma2_violations_by_sampling(
+    k: int, p: int, m_max: int, samples: int, seed: int
+) -> tuple[int, list[tuple[int, int, int]]]:
+    """Sample the digit shrink z(n) < k**(m-1) for each m in [3, m_max].
+
+    Per m: ``samples`` draws from [k**(m-1), k**m) by ``random.Random(seed)``,
+    then all digits k - 1, then all digits t*p + 1 (the digit with the
+    largest image).  Returns the count checked and every ``(m, n, z(n))``
+    that failed to shrink.
+    """
+    rng = random.Random(seed)
+    heaviest = (k - 2) // p * p + 1  # k = t*p + s + 1 with 1 <= s <= p
+    checked = 0
+    violations = []
+    for m in range(3, m_max + 1):
+        lo, hi = k ** (m - 1), k**m
+        batch = [rng.randrange(lo, hi) for _ in range(samples)]
+        batch.append(hi - 1)
+        batch.append(sum(heaviest * k**i for i in range(m)))
+        for n in batch:
+            image = z_by_digit_sum(n, k, p)
+            checked += 1
+            if image >= lo:
+                violations.append((m, n, image))
+    return checked, violations
 
 
 def hypothesis_b_by_loop(k: int, p: int) -> list[int]:

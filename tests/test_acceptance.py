@@ -36,7 +36,13 @@ from zorbit.hypothesis import check_all
 from zorbit.kadic import from_digits, to_digits
 from zorbit.transform import Params, orbit, z_transform
 
-from oracles import canonical_cycle, cycles_by_independent_orbits, long_add, naive_orbit
+from oracles import (
+    canonical_cycle,
+    cycles_by_independent_orbits,
+    lemma2_violations_by_sampling,
+    long_add,
+    naive_orbit,
+)
 
 GRID_N_MAX = 100_000
 LEMMA2_SEED = 20260810
@@ -159,19 +165,28 @@ def test_criterion_04_single_cycle_claim_across_grid(screened_grid):
 
 
 def test_criterion_05_digit_shrink_property_across_grid(screened_grid):
-    """1,000 seeded m-digit samples per m in [3,6] plus both extremal digit
-    patterns satisfy z(n) < k**(m-1) on every screened cell."""
+    """The exact Lemma 2 certificate passes on every screened cell, and
+    1,000 seeded m-digit samples per m in [3,6] plus both extremal digit
+    patterns satisfy z(n) < k**(m-1) there."""
     violations = 0
     checked = 0
+    uncertified = []
     for params in screened_grid:
-        report = verify_lemma2(
-            params, m_max=LEMMA2_M_MAX, samples_per_m=LEMMA2_SAMPLES, seed=LEMMA2_SEED
+        count, found = lemma2_violations_by_sampling(
+            params.k, params.p, LEMMA2_M_MAX, LEMMA2_SAMPLES, LEMMA2_SEED
         )
-        violations += len(report.violations)
-        checked += report.checked
-    ok = violations == 0
-    _verdict(5, ok, f"{checked} sampled values across {len(screened_grid)} cells, {violations} violations")
-    assert ok
+        violations += len(found)
+        checked += count
+        if not verify_lemma2(params).passed:
+            uncertified.append((params.k, params.p))
+    ok = violations == 0 and not uncertified
+    _verdict(
+        5,
+        ok,
+        f"{checked} sampled values across {len(screened_grid)} cells, {violations} violations; "
+        f"{len(uncertified)} cells without the exact certificate",
+    )
+    assert ok, uncertified
 
 
 def test_criterion_06_universal_two_cycle_random_params():

@@ -461,12 +461,31 @@ def test_usage_errors_exit_2(argv):
         ("orbit", "-" + "7" * 6_000, "--k", "10", "--p", "5"),
         ("census", "--k", "10", "--p", "5", "--n-max", "-" + "7" * 6_000),
         ("sweep", "--k-range", "5" * 6_000, "--p-range", "3:3"),
+        ("check", "--k", "x" * 6_000, "--p", "3"),
+        ("check", "--k", "10", "--p", "x" * 6_000),
+        ("orbit", "5", "--k", "5", "--p", "3", "--max-steps", "x" * 6_000),
+        ("verify", "--theorem", "x" * 6_000, "--k", "10", "--p", "5"),
     ],
 )
 def test_long_bad_arguments_are_clipped_in_errors(argv):
     result = run_cli(*argv)
     assert result.returncode == 2
     assert len(result.stderr.encode()) < 1_024, result.stderr[:300]
+
+
+def test_long_bad_config_and_env_values_are_clipped_in_errors(tmp_path):
+    long_value = tmp_path / "value.cfg"
+    long_value.write_text("k = " + "x" * 6_000 + "\np = 3\n")
+    long_key = tmp_path / "key.cfg"
+    long_key.write_text("x" * 6_000 + " = 4\n")
+    runs = [
+        run_cli("check", "--config", str(long_value)),
+        run_cli("check", "--k", "5", "--p", "3", "--config", str(long_key)),
+        run_cli("orbit", "5", "--k", "5", "--p", "3", env={"ZORBIT_MAX_STEPS": "x" * 6_000}),
+    ]
+    for result in runs:
+        assert result.returncode == 2
+        assert len(result.stderr.encode()) < 1_024, result.stderr[:300]
 
 
 @pytest.mark.parametrize(

@@ -36,7 +36,7 @@ from zorbit.errors import ParameterDomainError, PreconditionError
 from zorbit.kadic import from_digits
 from zorbit.transform import Params, digit_step, orbit, z_transform
 
-from oracles import canonical_cycle, cycles_by_independent_orbits, naive_orbit
+from oracles import canonical_cycle, cycles_by_independent_orbits, naive_orbit, z_by_digit_sum
 
 SMALL_PARAMS = [(5, 3), (10, 5), (137, 11), (3, 2), (7, 3), (9, 4), (27, 3), (12, 5), (48, 7), (3, 29)]
 
@@ -210,10 +210,9 @@ def test_fixed_points_are_length_one_census_cycles(k, p):
 
 
 def test_verify_lemma2_clean_run():
-    report = verify_lemma2(Params(137, 11), m_max=6, samples_per_m=1_000, seed=20260810)
+    report = verify_lemma2(Params(137, 11))
     assert report.passed
-    assert report.checked == 4 * 1_002
-    assert report.violations == ()
+    assert report.peak == 546
 
 
 def test_verify_lemma2_worst_cases_directly():
@@ -227,20 +226,27 @@ def test_verify_lemma2_worst_cases_directly():
     assert 18 < 5**2
 
 
-def test_verify_lemma2_is_deterministic():
-    a = verify_lemma2(Params(48, 7), m_max=4, samples_per_m=50, seed=99)
-    b = verify_lemma2(Params(48, 7), m_max=4, samples_per_m=50, seed=99)
-    assert a == b
+def test_z_upper_bound_is_the_exact_peak_on_small_cells():
+    # exhaustive over every m-digit value; the cap reaches k**2 at m = 3
+    # only on cells outside condition (a)
+    reach_k_squared = []
+    for k in range(3, 31):
+        for p in range(2, 36):
+            params = Params(k, p)
+            for m in (1, 2, 3):
+                peak = max(z_by_digit_sum(n, k, p) for n in range(k ** (m - 1), k**m))
+                assert z_upper_bound(m, params) == peak, (k, p, m)
+            if z_upper_bound(3, params) >= k * k:
+                reach_k_squared.append((k, p))
+    assert reach_k_squared == [(4, 2), (6, 2)]
 
 
 def test_verify_lemma2_preconditions():
     with pytest.raises(PreconditionError) as info:
-        verify_lemma2(Params(5, 2), m_max=3, samples_per_m=10, seed=1)
+        verify_lemma2(Params(5, 2))
     assert info.value.failed == ("a",)
     with pytest.raises(PreconditionError):
-        verify_lemma2(Params(100, 3), m_max=3, samples_per_m=10, seed=1)  # k > 3p**2
-    with pytest.raises(ParameterDomainError):
-        verify_lemma2(Params(137, 11), m_max=2, samples_per_m=10, seed=1)
+        verify_lemma2(Params(100, 3))  # k > 3p**2
 
 
 # -- collapse verifiers ------------------------------------------------------
@@ -297,11 +303,9 @@ def test_positive_cycle_verdict_failure_branch():
     # bypass the precondition to exercise the counterexample machinery on
     # parameters that genuinely host an extra cycle
     graph = _FunctionalGraph(Params(5, 3))
-    passed, counterexample = _positive_cycle_verdict(graph)
-    assert not passed
-    assert counterexample is not None
-    assert counterexample.values == (4, 6, 4)  # smallest offending start
-    assert counterexample.values[0] == smallest_offending_start(5, 3)
+    witness = _positive_cycle_verdict(graph)
+    assert witness == smallest_offending_start(5, 3) == 4
+    assert orbit(witness, Params(5, 3)).values == (4, 6, 4)
 
 
 def test_verify_theorem2_k5_p3():
