@@ -2,7 +2,9 @@
 
 Each case runs ``zorbit.cli.main`` in-process with stdout captured and
 checks the exit code against ``tests/golden/<case>.exit`` and the output
-against ``tests/golden/<case>.<json|csv|txt>``.  Regenerate the files after
+against ``tests/golden/<case>.<json|csv|txt>``.  The ``-h`` output of
+``zorbit`` and of each command, rendered at ``COLUMNS=80``, is pinned in
+``tests/golden/help_<command>.txt``.  Regenerate the files after
 an intended output change with ``PYTHONPATH=src python tests/test_cli_golden.py``
 and review the diff.
 """
@@ -40,11 +42,18 @@ CASES = {
     ),
 }
 FORMATS = {"json": "json", "csv": "csv", "text": "txt"}
+HELP = {
+    "help_zorbit": ("-h",),
+    **{f"help_{cmd}": (cmd, "-h") for cmd in ("orbit", "check", "census", "verify", "sweep")},
+}
 
 
 def run_main(argv: list[str]) -> tuple[int, bytes]:
     with contextlib.redirect_stdout(io.StringIO()) as captured:
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # -h exits from inside argparse
+            code = exc.code
     return code, captured.getvalue().encode()
 
 
@@ -55,6 +64,14 @@ def test_cli_golden_bytes(case, fmt, monkeypatch):
     code, out = run_main([*CASES[case], "--format", fmt])
     assert code == int((GOLDEN / f"{case}.exit").read_text())
     assert out == (GOLDEN / f"{case}.{FORMATS[fmt]}").read_bytes()
+
+
+@pytest.mark.parametrize("case", HELP)
+def test_cli_help_bytes(case, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out = run_main(list(HELP[case]))
+    assert code == 0
+    assert out == (GOLDEN / f"{case}.txt").read_bytes()
 
 
 if __name__ == "__main__":
@@ -68,3 +85,6 @@ if __name__ == "__main__":
             (GOLDEN / f"{case}.{suffix}").write_bytes(out)
         (code,) = codes
         (GOLDEN / f"{case}.exit").write_text(f"{code}\n")
+    os.environ["COLUMNS"] = "80"
+    for case, argv in HELP.items():
+        (GOLDEN / f"{case}.txt").write_bytes(run_main(list(argv))[1])
