@@ -5,6 +5,10 @@ sweeps): a JSON envelope, a CSV flattening, or a human-readable text
 rendering.  Output bytes are deterministic for identical arguments; the
 optional --timestamps flag adds a wall clock outside the payload.
 
+Each setting comes from its flag, else the --config file (ZORBIT_MAX_STEPS
+for the step budget), else its default, always through the flag's own
+parser.  Error messages on stderr clip long echoed input.
+
 Exit codes: 0 pass, 1 verification failure, 2 usage/IO error or out of
 memory, 3 precondition (hypothesis condition) failure, 130 interrupted
 (Ctrl-C).
@@ -17,6 +21,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -45,6 +50,8 @@ SCHEMA_VERSION = "1"
 ENV_MAX_STEPS = "ZORBIT_MAX_STEPS"
 DEFAULT_N_MAX = 10_000
 DEFAULT_FORMAT = "json"
+_FORMATS = ("json", "csv", "text")
+_FORMAT_CHOICES = "{" + ",".join(_FORMATS) + "}"
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -67,26 +74,39 @@ class UsageError(Exception):
 # argument plumbing
 
 
-_ECHO_CHARS = 40  # arguments may be megabytes long; errors echo only a head
+_CLIP = 200  # an ordinary path (about 150 characters) is echoed whole
 
 
-def _echo(text: str) -> str:
-    if len(text) <= _ECHO_CHARS:
-        return repr(text)
-    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
+def _clip(message: str) -> str:
+    """Cut each run of over _CLIP non-blank characters to its head, then the
+    message to 3 * _CLIP UTF-8 bytes (long input made of short runs)."""
+    head = _CLIP // 4
+    message = re.sub(
+        rf"\S{{{_CLIP + 1},}}", lambda run: f"{run[0][:head]}...({len(run[0])} characters)", message
+    )
+    if len(message.encode()) <= 3 * _CLIP:
+        return message
+    return message.encode()[: 3 * _CLIP].decode(errors="ignore") + "..."
+
+
+class _Parser(argparse.ArgumentParser):
+    """Clips what argparse echoes of a bad argument; subparsers inherit it."""
+
+    def error(self, message: str):
+        super().error(_clip(message))
 
 
 def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {_echo(text)}") from None
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
 
 
 def _int_at_least(text: str, low: int, requirement: str) -> int:
     value = _int(text)
     if value < low:
-        raise argparse.ArgumentTypeError(f"{requirement}, got {_echo(text)}")
+        raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
     return value
 
 
@@ -98,16 +118,19 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1, "must be >= 1")
 
 
+def _format(text: str) -> str:
+    if text not in _FORMATS:
+        raise argparse.ArgumentTypeError(f"expected one of {_FORMAT_CHOICES}, got {text!r}")
+    return text
+
+
 def _int_range(text: str) -> tuple[int, int]:
     lo_text, sep, hi_text = text.partition(":")
     if not sep:
-        raise argparse.ArgumentTypeError(f"expected LO:HI, got {_echo(text)}")
-    try:
-        lo, hi = int(lo_text), int(hi_text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected LO:HI integers, got {_echo(text)}") from None
+        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
+    lo, hi = _int(lo_text), _int(hi_text)
     if lo > hi:
-        raise argparse.ArgumentTypeError(f"range must satisfy LO <= HI, got {_echo(text)}")
+        raise argparse.ArgumentTypeError(f"range must satisfy LO <= HI, got {text!r}")
     return lo, hi
 
 
@@ -128,62 +151,33 @@ def _load_config(path: str) -> dict[str, str]:
             raise UsageError(f"{path}:{lineno}: expected key = value")
         key = key.strip().lower().replace("-", "_")
         if key not in CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {_echo(key)}")
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value.strip().strip("\"'")
     return values
 
 
-def _config_int(config: dict[str, str], key: str) -> int | None:
-    if key not in config:
-        return None
-    try:
-        return int(config[key])
-    except ValueError as exc:
-        raise UsageError(
-            f"config key {key} must be an integer, got {_echo(config[key])}"
-        ) from exc
+def _setting(args: argparse.Namespace, source, key: str, parse, default):
+    """The flag whose dest is ``key`` if given, else ``source[key]``, else ``default``.
+
+    ``source`` is the config file, or the environment for ``ENV_MAX_STEPS``
+    (the dest of --max-steps); its text goes through the flag's type ``parse``.
+    """
+    value = getattr(args, key)
+    if value is None and key in source:
+        try:
+            value = parse(source[key])
+        except argparse.ArgumentTypeError as exc:
+            where = f"config key {key}" if key in CONFIG_KEYS else key
+            raise UsageError(f"{where}: {exc}") from None
+    return default if value is None else value
 
 
 def _params_from(args: argparse.Namespace, config: dict[str, str]) -> Params:
-    k = args.k if args.k is not None else _config_int(config, "k")
-    p = args.p if args.p is not None else _config_int(config, "p")
+    k = _setting(args, config, "k", _int, None)
+    p = _setting(args, config, "p", _int, None)
     if k is None or p is None:
         raise UsageError("--k and --p are required (directly or via --config)")
     return Params(k, p)
-
-
-def _format_from(args: argparse.Namespace, config: dict[str, str]) -> str:
-    fmt = args.format if args.format is not None else config.get("format")
-    if fmt is None:
-        return DEFAULT_FORMAT
-    if fmt not in ("json", "csv", "text"):
-        raise UsageError(f"unknown format {_echo(fmt)} (expected json, csv, or text)")
-    return fmt
-
-
-def _n_max_from(args: argparse.Namespace, config: dict[str, str], default: int | None) -> int | None:
-    n_max = args.n_max if args.n_max is not None else _config_int(config, "n_max")
-    if n_max is None:
-        return default
-    if n_max < 1:
-        raise UsageError(f"--n-max must be >= 1, got {n_max}")
-    return n_max
-
-
-def _max_steps_from(args: argparse.Namespace) -> int:
-    if args.max_steps is not None:
-        value = args.max_steps
-    elif ENV_MAX_STEPS in os.environ:
-        raw = os.environ[ENV_MAX_STEPS]
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise UsageError(f"{ENV_MAX_STEPS} must be an integer, got {_echo(raw)}") from exc
-    else:
-        value = DEFAULT_MAX_STEPS
-    if value < 1:
-        raise UsageError(f"orbit step budget must be >= 1, got {value}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +322,7 @@ def _params_echo(params: Params) -> dict:
 
 def _cmd_orbit(args: argparse.Namespace, config: dict[str, str]) -> _Result:
     params = _params_from(args, config)
-    max_steps = _max_steps_from(args)
+    max_steps = _setting(args, os.environ, ENV_MAX_STEPS, _positive_int, DEFAULT_MAX_STEPS)
     echo = _params_echo(params)
     echo.update({"n": str(args.n), "max_steps": max_steps})
     try:
@@ -379,8 +373,7 @@ def _cmd_check(args: argparse.Namespace, config: dict[str, str]) -> _Result:
     verdict = "satisfied" if report.satisfied else "not satisfied"
     b_wit = _joined(report.b_violations, ", ") or "-"
     c_wit = "; ".join(f"q={q} ({clause})" for q, clause in report.c_violations) or "-"
-    columns = ["k", "p", "a_holds", "b_holds", "b_violations", "c_holds", "c_violations"]
-    columns.append("satisfied")
+    columns = ["k", "p", "a_holds", "b_holds", "b_violations", "c_holds", "c_violations", "satisfied"]
     row = [
         params.k,
         params.p,
@@ -409,33 +402,24 @@ def _cmd_check(args: argparse.Namespace, config: dict[str, str]) -> _Result:
 
 def _cmd_census(args: argparse.Namespace, config: dict[str, str]) -> _Result:
     params = _params_from(args, config)
-    n_max = _n_max_from(args, config, default=None)
+    n_max = _setting(args, config, "n_max", _positive_int, None)
     census = cycle_census(params, extra_range=n_max)
     echo = _params_echo(params)
     echo["n_max"] = None if n_max is None else str(n_max)
     lo, hi = census.scanned_range
     columns = ["k", "p", "absorbing_bound", "scanned_lo", "scanned_hi"]
     columns += ["cycle", "length", "basin_size", "degenerate"]
-    rows = []
+    lead = [params.k, params.p, census.absorbing_bound, lo, hi]
+    rows = [
+        [*lead, _joined(c.values), c.length, c.basin_size, _bool_cell(c.degenerate)]
+        for c in census.cycles
+    ]
     lines = [
         f"census k={params.k} p={params.p}",
         f"  absorbing bound: {census.absorbing_bound}",
         f"  scanned range: [{lo}, {hi}]",
     ]
     for cycle in census.cycles:
-        rows.append(
-            [
-                params.k,
-                params.p,
-                census.absorbing_bound,
-                lo,
-                hi,
-                _joined(cycle.values),
-                cycle.length,
-                cycle.basin_size,
-                _bool_cell(cycle.degenerate),
-            ]
-        )
         tag = "  (degenerate zero)" if cycle.degenerate else ""
         lines.append(
             f"  cycle length={cycle.length} basin={cycle.basin_size}: "
@@ -450,7 +434,7 @@ def _cmd_census(args: argparse.Namespace, config: dict[str, str]) -> _Result:
 
 def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> _Result:
     params = _params_from(args, config)
-    n_max = _n_max_from(args, config, default=DEFAULT_N_MAX)
+    n_max = _setting(args, config, "n_max", _positive_int, DEFAULT_N_MAX)
     theorem = args.theorem
     echo = _params_echo(params)
     echo["theorem"] = theorem
@@ -561,7 +545,7 @@ def _sweep_row_payload(row: SweepRow) -> dict:
 
 
 def _cmd_sweep(args: argparse.Namespace, config: dict[str, str]) -> _Result:
-    n_max = _n_max_from(args, config, default=DEFAULT_N_MAX)
+    n_max = _setting(args, config, "n_max", _positive_int, DEFAULT_N_MAX)
     rows = sweep(args.k_range, args.p_range, n_max, jobs=args.jobs)
     # a cell that errored is as unverified as one that failed
     all_pass = not any(row.theorem1_status in (THEOREM1_FAIL, THEOREM1_ERROR) for row in rows)
@@ -617,7 +601,7 @@ def _cmd_sweep(args: argparse.Namespace, config: dict[str, str]) -> _Result:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zorbit",
         description="Base-k digit-sum dynamics: orbits, cycle censuses, "
         "parameter condition checks, and exhaustive verification.",
@@ -628,94 +612,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--format",
-        choices=("json", "csv", "text"),
+        type=_format,
+        metavar=_FORMAT_CHOICES,
         help=f"output format (default {DEFAULT_FORMAT})",
     )
     common.add_argument(
-        "--timestamps",
-        action="store_true",
-        help="add a wall-clock timestamp outside the payload",
+        "--timestamps", action="store_true", help="add a wall-clock timestamp outside the payload"
     )
     pair = argparse.ArgumentParser(add_help=False)
     pair.add_argument("--k", type=_int, help="digit base (k >= 3)")
     pair.add_argument("--p", type=_int, help="digit modulus (p >= 2)")
 
     sub = parser.add_subparsers(metavar="COMMAND")
+    commands = {}
+    for name, handler, parents, summary in (
+        ("orbit", _cmd_orbit, [common, pair], "trace the orbit of one value to its first repeat"),
+        ("check", _cmd_check, [common, pair], "evaluate parameter conditions (a), (b), (c)"),
+        ("census", _cmd_census, [common, pair], "enumerate all cycles with basin sizes"),
+        ("verify", _cmd_verify, [common, pair], "run an exhaustive desk-scale verifier"),
+        ("sweep", _cmd_sweep, [common], "evaluate a grid of (k, p) cells"),
+    ):
+        commands[name] = sub.add_parser(name, parents=parents, help=summary)
+        commands[name].set_defaults(handler=handler)
 
-    p_orbit = sub.add_parser(
-        "orbit",
-        parents=[common, pair],
-        help="trace the orbit of one value to its first repeat",
-    )
-    p_orbit.add_argument(
+    commands["orbit"].add_argument(
         "n", type=_nonneg_int, help="starting value (nonnegative decimal, any size)"
     )
-    p_orbit.add_argument(
+    commands["orbit"].add_argument(
         "--max-steps",
-        dest="max_steps",
-        type=_int,
+        dest=ENV_MAX_STEPS,
+        metavar="MAX_STEPS",
+        type=_positive_int,
         help=f"iteration budget (default {DEFAULT_MAX_STEPS}; env {ENV_MAX_STEPS})",
     )
-    p_orbit.set_defaults(handler=_cmd_orbit)
-
-    p_check = sub.add_parser(
-        "check",
-        parents=[common, pair],
-        help="evaluate parameter conditions (a), (b), (c)",
-    )
-    p_check.set_defaults(handler=_cmd_check)
-
-    p_census = sub.add_parser(
-        "census",
-        parents=[common, pair],
-        help="enumerate all cycles with basin sizes",
-    )
-    p_census.add_argument(
-        "--n-max",
-        dest="n_max",
-        type=_positive_int,
-        help="widen basin attribution to [0, n-max]",
-    )
-    p_census.set_defaults(handler=_cmd_census)
-
-    p_verify = sub.add_parser(
-        "verify",
-        parents=[common, pair],
-        help="run an exhaustive desk-scale verifier",
-    )
-    p_verify.add_argument(
+    commands["verify"].add_argument(
         "--theorem", type=_int, choices=(1, 2), required=True, help="which verifier to run"
     )
-    p_verify.add_argument(
-        "--n-max",
-        dest="n_max",
-        type=_positive_int,
-        help=f"range of starting values to cover (default {DEFAULT_N_MAX})",
-    )
-    p_verify.set_defaults(handler=_cmd_verify)
+    commands["sweep"].add_argument("--k-range", type=_int_range, required=True, metavar="LO:HI")
+    commands["sweep"].add_argument("--p-range", type=_int_range, required=True, metavar="LO:HI")
+    for name, n_max_help in (
+        ("census", "widen basin attribution to [0, n-max]"),
+        ("verify", f"range of starting values to cover (default {DEFAULT_N_MAX})"),
+        ("sweep", f"starting range per cell (default {DEFAULT_N_MAX})"),
+    ):
+        commands[name].add_argument("--n-max", type=_positive_int, help=n_max_help)
 
-    p_sweep = sub.add_parser(
-        "sweep",
-        parents=[common],
-        help="evaluate a grid of (k, p) cells",
-    )
-    p_sweep.add_argument("--k-range", dest="k_range", type=_int_range, required=True, metavar="LO:HI")
-    p_sweep.add_argument("--p-range", dest="p_range", type=_int_range, required=True, metavar="LO:HI")
-    p_sweep.add_argument(
-        "--n-max",
-        dest="n_max",
-        type=_positive_int,
-        help=f"starting range per cell (default {DEFAULT_N_MAX})",
-    )
-    p_sweep.add_argument("--out", metavar="FILE", help="write the output document to FILE")
-    p_sweep.add_argument(
+    commands["sweep"].add_argument("--out", metavar="FILE", help="write the output document to FILE")
+    commands["sweep"].add_argument(
         "--jobs",
         type=_positive_int,
         default=1,
         help="parallel worker count (CSV/text bytes do not depend on it; JSON echoes it)",
     )
-    p_sweep.set_defaults(handler=_cmd_sweep)
-
     return parser
 
 
@@ -727,25 +675,22 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         config = _load_config(args.config) if args.config else {}
-        fmt = _format_from(args, config)
+        fmt = _setting(args, config, "format", _format, DEFAULT_FORMAT)
         result = args.handler(args, config)
         _write_output(_render(result, fmt, args.timestamps), getattr(args, "out", None))
         return result.code
     except PreconditionError as exc:  # safety net; verify renders its own
-        print(f"zorbit: precondition failed: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        code, message = EXIT_PRECONDITION, f"precondition failed: {exc}"
     except (UsageError, ParameterDomainError) as exc:
-        print(f"zorbit: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, f"error: {exc}"
     except ZorbitError as exc:
-        print(f"zorbit: error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION_FAILED
+        code, message = EXIT_VERIFICATION_FAILED, f"error: {exc}"
     except MemoryError:
-        print("zorbit: error: out of memory", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, "error: out of memory"
     except KeyboardInterrupt:
-        print("zorbit: interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        code, message = EXIT_INTERRUPTED, "interrupted"
+    print(_clip(f"zorbit: {message}"), file=sys.stderr)
+    return code
 
 
 def run() -> None:

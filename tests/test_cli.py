@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -11,6 +12,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zorbit import cli
 
@@ -415,17 +418,12 @@ def test_sweep_json_csv_fact_projection():
 
 
 def test_sweep_unwritable_out_exit_2(tmp_path):
-    result = run_cli(
-        "sweep",
-        "--k-range",
-        "5:5",
-        "--p-range",
-        "3:3",
-        "--out",
-        str(tmp_path / "missing_dir" / "rows.csv"),
-    )
+    # an ordinary path of about 150 characters is echoed whole
+    missing = tmp_path / "missing_dir"
+    out = str(missing / ("r" * max(8, 149 - len(str(missing)))))
+    result = run_cli("sweep", "--k-range", "5:5", "--p-range", "3:3", "--out", out)
     assert result.returncode == 2
-    assert "cannot write" in result.stderr
+    assert f"cannot write {out}:" in result.stderr
 
 
 # -- usage errors ------------------------------------------------------------
@@ -465,6 +463,12 @@ def test_usage_errors_exit_2(argv):
         ("check", "--k", "10", "--p", "x" * 6_000),
         ("orbit", "5", "--k", "5", "--p", "3", "--max-steps", "x" * 6_000),
         ("verify", "--theorem", "x" * 6_000, "--k", "10", "--p", "5"),
+        ("check", "--k", "7" * 6_000, "--p", "3"),
+        ("check", "--k", "10", "--p", "7" * 6_000),
+        ("orbit", "5", "--k", "5", "--p", "3", "--max-steps", "-" + "7" * 6_000),
+        ("verify", "--theorem", "7" * 6_000, "--k", "10", "--p", "5"),
+        ("check", "--k", "5", "--p", "3", "--format", "x" * 6_000),
+        ("check", "--k", "5", "--p", "3", "--config", "/tmp/" + "x" * 6_000),
     ],
 )
 def test_long_bad_arguments_are_clipped_in_errors(argv):
@@ -486,6 +490,42 @@ def test_long_bad_config_and_env_values_are_clipped_in_errors(tmp_path):
     for result in runs:
         assert result.returncode == 2
         assert len(result.stderr.encode()) < 1_024, result.stderr[:300]
+
+
+def test_short_bad_arguments_are_echoed_whole():
+    result = run_cli("orbit", "xyz", "--k", "10", "--p", "5")
+    assert result.returncode == 2
+    assert "expected an integer, got 'xyz'" in result.stderr
+
+
+ARBITRARY_VALUE_ARGV = {
+    "check --k": lambda text: ["check", "--k", text, "--p", "3"],
+    "check --p": lambda text: ["check", "--k", "5", "--p", text],
+    "check --format": lambda text: ["check", "--k", "5", "--p", "3", "--format", text],
+    "orbit --max-steps": lambda text: ["orbit", "5", "--k", "5", "--p", "3", "--max-steps", text],
+}
+
+
+# Hypothesis rarely draws long text; repeating a short piece reaches the bound
+ARBITRARY_TEXT = st.text(max_size=8_000) | st.builds(
+    lambda piece, times: (piece * times)[:8_000],
+    st.text(min_size=1, max_size=30),
+    st.integers(1, 8_000),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(slot=st.sampled_from(sorted(ARBITRARY_VALUE_ARGV)), text=ARBITRARY_TEXT)
+def test_arbitrary_values_answer_without_traceback(slot, text):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(ARBITRARY_VALUE_ARGV[slot](text))
+        except SystemExit as exc:  # argparse exits on usage errors and -h
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert len(stderr.getvalue().encode()) < 1_024, stderr.getvalue()[:300]
+    assert "Traceback" not in stderr.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -534,6 +574,28 @@ def test_config_n_max_applies(tmp_path):
     result = run_cli("census", "--k", "10", "--p", "5", "--config", str(config))
     payload = json.loads(result.stdout)["payload"]
     assert payload["scanned_range"] == ["0", "450"]
+
+
+@pytest.mark.parametrize(
+    "argv, config_text, env, name",
+    [
+        (("census", "--k", "10", "--p", "5"), "n-max = 0\n", {}, "config key n_max"),
+        (("check", "--k", "5", "--p", "3"), "format = xml\n", {}, "config key format"),
+        (("check",), "k = 1.5\np = 3\n", {}, "config key k"),
+        (("orbit", "5", "--k", "5", "--p", "3"), None, {cli.ENV_MAX_STEPS: "0"}, cli.ENV_MAX_STEPS),
+    ],
+    ids=["n-max", "format", "k", "env-max-steps"],
+)
+def test_config_and_env_values_get_their_flags_check(tmp_path, argv, config_text, env, name):
+    if config_text is not None:
+        config = tmp_path / "defaults.cfg"
+        config.write_text(config_text)
+        argv = (*argv, "--config", str(config))
+    result = run_cli(*argv, env=env)
+    assert result.returncode == 2
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("zorbit: error: ")
+    assert name in line
 
 
 def test_config_errors_exit_2(tmp_path):
