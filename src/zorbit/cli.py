@@ -668,6 +668,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    Starts of any size are accepted, so the interpreter's cap on the digits
+    of int/str conversions is lifted for the call and restored after it.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "handler"):
@@ -694,11 +710,5 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Entry point of the ``zorbit`` console script and ``python -m zorbit``.
-
-    Starts of any size are accepted, so the interpreter's cap on the digits
-    of int/str conversions is lifted for the command-line process.
-    """
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    """Entry point of the ``zorbit`` console script and ``python -m zorbit``."""
     sys.exit(main())

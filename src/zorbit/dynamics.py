@@ -8,10 +8,12 @@ else here (cycle enumeration, fixed points, the collapse verifiers, and
 parameter sweeps) reduces to finite, exhaustively checked computation
 inside the box.
 
-One engine serves them all: ``_FunctionalGraph`` resolves the box once,
-recording each node's cycle and its depth (steps to that cycle), and
-``_census_from_graph`` walks each start above the box down into it once,
-counting basins and the longest transient in the same walk.
+One engine serves them all: ``_census`` resolves the box once, recording
+each node's cycle and its depth (steps to that cycle), walks each start
+above the box down into it once, counting basins and the longest transient
+in the same walk, and names the smallest start that ends in a positive
+cycle other than {1, 2}.  ``cycle_census``, ``fixed_points``, both
+verifiers and ``sweep`` all read their answers from it.
 """
 
 from __future__ import annotations
@@ -84,81 +86,9 @@ def absorbing_bound(params: Params) -> int:
     return bound
 
 
-def _make_stepper(params: Params):
-    """Transform closure specialized via a per-digit lookup table."""
-    k = params.k
-    table = tuple(digit_step(a, params.p) for a in range(k))
-
-    def step(n: int, _table=table, _k=k) -> int:
-        total = 0
-        while n:
-            n, a = divmod(n, _k)
-            total += _table[a]
-        return total
-
-    return step
-
-
 def _canonical_rotation(members: list[int]) -> tuple[int, ...]:
     pivot = members.index(min(members))
     return tuple(members[pivot:] + members[:pivot])
-
-
-class _FunctionalGraph:
-    """The step map over the absorbing box [0, B], resolved in one pass.
-
-    Every node is walked exactly once, with an explicit stack (no
-    recursion).  ``cycle_id[n]`` indexes ``cycles`` (in the order the walk
-    met them) at the cycle the orbit of n ends in; ``depth[n]`` is the
-    number of steps n takes to enter that cycle (0 on the cycle).  While
-    resolving, ``cycle_id`` holds -1 for unseen nodes and -2 for nodes on
-    the walk in progress, so a walk that meets its own path has closed a
-    new cycle.
-    """
-
-    def __init__(self, params: Params):
-        self.params = params
-        self.step = _make_stepper(params)
-        self.bound = absorbing_bound(params)
-        size = self.bound + 1
-        self.cycle_id = array("l", [-1]) * size
-        self.depth = array("l", [0]) * size
-        self.cycles: tuple[tuple[int, ...], ...] = ()
-        self._resolve_cycles()
-
-    def _resolve_cycles(self) -> None:
-        step = self.step
-        bound = self.bound
-        cycle_id = self.cycle_id
-        depth = self.depth
-        found: list[tuple[int, ...]] = []
-        for start in range(bound + 1):
-            if cycle_id[start] != -1:
-                continue
-            path: list[int] = []
-            current = start
-            while cycle_id[current] == -1:
-                cycle_id[current] = -2
-                path.append(current)
-                current = step(current)
-                if current > bound:
-                    raise AbsorptionError(
-                        f"step left the certified box [0, {bound}] from {path[-1]}"
-                    )
-            cid = cycle_id[current]
-            if cid == -2:
-                entry = path.index(current)
-                cid = len(found)
-                found.append(_canonical_rotation(path[entry:]))
-                for v in path[entry:]:
-                    cycle_id[v] = cid
-                del path[entry:]
-            steps = depth[current]
-            for v in reversed(path):
-                steps += 1
-                depth[v] = steps
-                cycle_id[v] = cid
-        self.cycles = tuple(found)
 
 
 @dataclass(frozen=True)
@@ -200,23 +130,67 @@ def cycle_census(params: Params, extra_range: int | None = None) -> CycleCensus:
     The scanned range is [0, max(absorbing_bound, extra_range)].  Cycles
     are reported in canonical rotation, sorted by minimum element.
     """
-    return _census_from_graph(_FunctionalGraph(params), extra_range)[0]
+    return _census(params, extra_range)[0]
 
 
-def _census_from_graph(graph: _FunctionalGraph, n_max: int | None) -> tuple[CycleCensus, int]:
-    """The census of [0, max(B, n_max)] and the longest transient in [1, n_max].
+def _census(params: Params, n_max: int | None) -> tuple[CycleCensus, int, int | None]:
+    """The census of [0, max(B, n_max)], the longest transient in [1, n_max]
+    (``n_max`` defaults to B), and the witness: the smallest start n >= 1
+    whose orbit ends in a positive cycle other than {1, 2}, or None.
 
-    Each start above B is descended once; strict descent is checked at
-    every step, so a broken certificate surfaces as AbsorptionError
-    instead of a wrong census.  ``n_max`` defaults to B.
+    The box is resolved once with an explicit stack: ``cycle_id[n]`` indexes
+    ``found`` at the cycle n ends in and ``depth[n]`` counts the steps n takes
+    to enter it.  While resolving, ``cycle_id`` holds -1 for unseen nodes and
+    -2 for nodes on the walk in progress, so a walk that meets its own path
+    has closed a new cycle.  Each start above B is then descended once with
+    strict descent checked at every step, so a broken certificate surfaces
+    as AbsorptionError instead of a wrong census.
     """
-    step = graph.step
-    bound = graph.bound
-    cycle_id = graph.cycle_id
-    depth = graph.depth
+    k = params.k
+    table = tuple(digit_step(a, params.p) for a in range(k))
+
+    def step(n: int, _table=table, _k=k) -> int:
+        total = 0
+        while n:
+            n, a = divmod(n, _k)
+            total += _table[a]
+        return total
+
+    bound = absorbing_bound(params)
+    size = bound + 1
+    cycle_id = array("l", [-1]) * size
+    depth = array("l", [0]) * size
+    found: list[tuple[int, ...]] = []
+    for start in range(size):
+        if cycle_id[start] != -1:
+            continue
+        path: list[int] = []
+        current = start
+        while cycle_id[current] == -1:
+            cycle_id[current] = -2
+            path.append(current)
+            current = step(current)
+            if current > bound:
+                raise AbsorptionError(
+                    f"step left the certified box [0, {bound}] from {path[-1]}"
+                )
+        cid = cycle_id[current]
+        if cid == -2:
+            entry = path.index(current)
+            cid = len(found)
+            found.append(_canonical_rotation(path[entry:]))
+            for v in path[entry:]:
+                cycle_id[v] = cid
+            del path[entry:]
+        steps = depth[current]
+        for v in reversed(path):
+            steps += 1
+            depth[v] = steps
+            cycle_id[v] = cid
+
     top = bound if n_max is None else n_max
     hi = max(bound, top)
-    counts = [0] * len(graph.cycles)
+    counts = [0] * len(found)
     for cid in cycle_id:
         counts[cid] += 1
     longest = max(islice(depth, 1, min(bound, top) + 1), default=0)  # a slice would copy
@@ -235,15 +209,19 @@ def _census_from_graph(graph: _FunctionalGraph, n_max: int | None) -> tuple[Cycl
         taken += depth[current]
         if taken > longest:
             longest = taken
+
+    # Cycle members lie in the box and an offending cycle is all positive, so
+    # the scan stops by B, at the latest on an offending cycle's minimum.
+    bad = {cid for cid, values in enumerate(found) if set(values) not in ({0}, {1, 2})}
+    witness = next(n for n in range(1, size) if cycle_id[n] in bad) if bad else None
     # Cycles are disjoint, so ordering by values orders by minimum element.
     cycles = tuple(
-        Cycle(values=values, basin_size=count)
-        for values, count in sorted(zip(graph.cycles, counts))
+        Cycle(values=values, basin_size=count) for values, count in sorted(zip(found, counts))
     )
     census = CycleCensus(
-        params=graph.params, absorbing_bound=bound, cycles=cycles, scanned_range=(0, hi)
+        params=params, absorbing_bound=bound, cycles=cycles, scanned_range=(0, hi)
     )
-    return census, longest
+    return census, longest, witness
 
 
 def fixed_points(params: Params) -> list[int]:
@@ -310,22 +288,6 @@ class Theorem1Report:
     census: CycleCensus
 
 
-def _positive_cycle_verdict(graph: _FunctionalGraph) -> int | None:
-    """The smallest start that lands in a positive cycle other than {1, 2}.
-
-    Returns None when {1, 2} is the only positive cycle in the box.  Every
-    cycle member lies in the box and an offending cycle has only positive
-    members, so that start is at most B.
-    """
-    bad_ids = {
-        cid for cid, values in enumerate(graph.cycles) if set(values) not in ({0}, {1, 2})
-    }
-    if not bad_ids:
-        return None
-    cycle_id = graph.cycle_id
-    return next(n for n in range(1, graph.bound + 1) if cycle_id[n] in bad_ids)
-
-
 def verify_theorem1(params: Params, n_max: int) -> Theorem1Report:
     """Confirm every orbit started in [1, n_max] terminates in {1, 2}.
 
@@ -343,9 +305,7 @@ def verify_theorem1(params: Params, n_max: int) -> Theorem1Report:
         raise PreconditionError(
             f"condition(s) {names} fail for k={params.k}, p={params.p}", failed=failed
         )
-    graph = _FunctionalGraph(params)
-    census, _ = _census_from_graph(graph, n_max)
-    witness = _positive_cycle_verdict(graph)
+    census, _, witness = _census(params, n_max)
     return Theorem1Report(
         params=params,
         n_max=n_max,
@@ -437,11 +397,9 @@ def _sweep_cell(cell: tuple[int, int, int]) -> SweepRow:
     try:
         params = Params(k, p)
         hyp = check_all(params)
-        graph = _FunctionalGraph(params)
-        census, max_transient = _census_from_graph(graph, n_max)
+        census, max_transient, witness = _census(params, n_max)
         if hyp.satisfied:
-            clean = _positive_cycle_verdict(graph) is None
-            status = THEOREM1_PASS if clean else THEOREM1_FAIL
+            status = THEOREM1_PASS if witness is None else THEOREM1_FAIL
         else:
             status = THEOREM1_NOT_CHECKED
         return SweepRow(

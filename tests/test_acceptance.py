@@ -25,7 +25,6 @@ import time
 import pytest
 
 from zorbit.dynamics import (
-    _FunctionalGraph,
     absorbing_bound,
     cycle_census,
     max_digit_step,

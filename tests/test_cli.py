@@ -165,6 +165,25 @@ def test_orbit_hundred_thousand_digit_start_json():
     assert trace[1]["value"] == str(sum(z_by_digit_sum(int(c), 10, 5) for c in start))
 
 
+def test_main_in_process_accepts_long_start_and_restores_digit_limit():
+    # main itself lifts the int/str digit cap, not only the console script
+    start = "7" * 5_000
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4_300)
+    stdout = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(["orbit", start, "--k", "10", "--p", "5", "--format", "json"])
+            except SystemExit as exc:  # argparse rejects the start when the cap holds
+                code = exc.code
+        assert sys.get_int_max_str_digits() == 4_300
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 0
+    assert json.loads(stdout.getvalue())["payload"]["trace"][0]["value"] == start
+
+
 # -- check -------------------------------------------------------------------
 
 

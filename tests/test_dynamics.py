@@ -7,7 +7,7 @@ from collections import Counter
 from itertools import count
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zorbit.dynamics import (
@@ -19,8 +19,7 @@ from zorbit.dynamics import (
     THEOREM1_NOT_CHECKED,
     THEOREM1_PASS,
     THEOREM1_SKIPPED,
-    _FunctionalGraph,
-    _positive_cycle_verdict,
+    _census,
     absorbing_bound,
     classify_cycle,
     cycle_census,
@@ -33,6 +32,7 @@ from zorbit.dynamics import (
     z_upper_bound,
 )
 from zorbit.errors import ParameterDomainError, PreconditionError
+from zorbit.hypothesis import check_all
 from zorbit.kadic import from_digits
 from zorbit.transform import Params, digit_step, orbit, z_transform
 
@@ -169,6 +169,8 @@ def small_cell_and_range(draw) -> tuple[int, int, int]:
 
 
 @given(small_cell_and_range())
+@example((23, 4, 100))  # (a)-(c) hold, yet 44 is a fixed point: theorem1_status fails
+@example((9, 5, 10))  # the same with the fixed point 6 and n_max below B = 12
 @settings(max_examples=25, deadline=None)
 def test_census_and_sweep_match_naive_orbits(case):
     # basins and the longest transient against per-start naive orbits
@@ -179,13 +181,21 @@ def test_census_and_sweep_match_naive_orbits(case):
     assert census.scanned_range == (0, hi)
     tally: Counter = Counter()
     longest = 0
+    witness = None  # smallest n >= 1 whose cycle is neither {0} nor {1, 2}
     for n in range(hi + 1):
         values, lam, cycle_length = naive_orbit(n, k, p)
-        tally[canonical_cycle(values, lam, cycle_length)] += 1
+        cycle = canonical_cycle(values, lam, cycle_length)
+        tally[cycle] += 1
         if 1 <= n <= n_max:
             longest = max(longest, lam)
+        if witness is None and set(cycle) not in ({0}, {1, 2}):
+            witness = n
     assert {c.values: c.basin_size for c in census.cycles} == dict(tally)
-    assert sweep((k, k), (p, p), n_max)[0].max_transient == longest
+    assert _census(params, n_max)[2] == witness
+    row = sweep((k, k), (p, p), n_max)[0]
+    assert row.max_transient == longest
+    if check_all(params).satisfied:
+        assert (row.theorem1_status == THEOREM1_PASS) == (witness is None)
 
 
 # -- fixed points ------------------------------------------------------------
@@ -302,8 +312,7 @@ def test_counterexample_starts_at_smallest_offending_start(k, p):
 def test_positive_cycle_verdict_failure_branch():
     # bypass the precondition to exercise the counterexample machinery on
     # parameters that genuinely host an extra cycle
-    graph = _FunctionalGraph(Params(5, 3))
-    witness = _positive_cycle_verdict(graph)
+    witness = _census(Params(5, 3), None)[2]
     assert witness == smallest_offending_start(5, 3) == 4
     assert orbit(witness, Params(5, 3)).values == (4, 6, 4)
 
