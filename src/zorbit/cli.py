@@ -44,7 +44,7 @@ from .errors import (
 )
 from .hypothesis import HypothesisReport, check_all
 from .kadic import to_digits
-from .transform import DEFAULT_MAX_STEPS, Params, digit_step, orbit
+from .transform import DEFAULT_MAX_STEPS, OrbitTrace, Params, digit_step, orbit
 
 SCHEMA_VERSION = "1"
 ENV_MAX_STEPS = "ZORBIT_MAX_STEPS"
@@ -239,9 +239,7 @@ def _render(result: _Result, fmt: str, timestamps: bool) -> str:
     return buffer.getvalue()
 
 
-def _bool_cell(flag: bool | None) -> str:
-    if flag is None:
-        return ""
+def _bool_cell(flag: bool) -> str:
     return "true" if flag else "false"
 
 
@@ -292,6 +290,17 @@ def _trace_steps(values, params: Params) -> list[dict]:
     return steps
 
 
+def _orbit_payload(values, params: Params, trace: OrbitTrace | None) -> dict:
+    """The steps through ``values`` and the cycle facts of ``trace``, each None
+    when there is no trace (the step budget ran out)."""
+    return {
+        "trace": _trace_steps(values, params),
+        "preperiod_length": None if trace is None else trace.preperiod_length,
+        "cycle_length": None if trace is None else trace.cycle_length,
+        "cycle": None if trace is None else [str(v) for v in trace.cycle],
+    }
+
+
 def _cycles_payload(cycles) -> list[dict]:
     return [
         {
@@ -328,17 +337,11 @@ def _cmd_orbit(args: argparse.Namespace, config: dict[str, str]) -> _Result:
     try:
         trace = orbit(args.n, params, max_steps=max_steps)
     except BudgetExceededError as exc:
-        values, preperiod, cycle_len, cycle = exc.partial, None, None, None
+        payload = _orbit_payload(exc.partial, params, None)
     else:
-        values, preperiod, cycle_len = trace.values, trace.preperiod_length, trace.cycle_length
-        cycle = [str(v) for v in trace.cycle]
-    steps = _trace_steps(values, params)
-    payload = {
-        "trace": steps,
-        "preperiod_length": preperiod,
-        "cycle_length": cycle_len,
-        "cycle": cycle,
-    }
+        payload = _orbit_payload(trace.values, params, trace)
+    steps, cycle = payload["trace"], payload["cycle"]
+    preperiod, cycle_len = payload["preperiod_length"], payload["cycle_length"]
     lines = [f"orbit n={steps[0]['value']} (k={params.k}, p={params.p})"]
     for step in steps:
         digits = "[" + _joined(step["digits"], ", ") + "]"
@@ -464,16 +467,10 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> _Result:
         + ("pass" if passed else "FAIL")
     ]
     if theorem == 1:
+        trace = report.counterexample
         counter = None
-        if report.counterexample is not None:
-            trace = report.counterexample
-            counter = {
-                "start": str(trace.values[0]),
-                "trace": _trace_steps(trace.values, params),
-                "preperiod_length": trace.preperiod_length,
-                "cycle_length": trace.cycle_length,
-                "cycle": [str(v) for v in trace.cycle],
-            }
+        if trace is not None:
+            counter = {"start": str(trace.values[0]), **_orbit_payload(trace.values, params, trace)}
         payload["passed"] = passed
         payload["census"] = _census_payload(report.census)
         payload["counterexample"] = counter
@@ -695,8 +692,6 @@ def _main(argv: list[str] | None) -> int:
         result = args.handler(args, config)
         _write_output(_render(result, fmt, args.timestamps), getattr(args, "out", None))
         return result.code
-    except PreconditionError as exc:  # safety net; verify renders its own
-        code, message = EXIT_PRECONDITION, f"precondition failed: {exc}"
     except (UsageError, ParameterDomainError) as exc:
         code, message = EXIT_USAGE, f"error: {exc}"
     except ZorbitError as exc:

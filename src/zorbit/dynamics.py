@@ -26,7 +26,6 @@ from itertools import islice
 
 from .errors import AbsorptionError, ParameterDomainError, PreconditionError
 from .hypothesis import HypothesisReport, check_a, check_all
-from .kadic import digit_count
 from .transform import OrbitTrace, Params, digit_step, orbit
 
 LABEL_UNIVERSAL = "universal_2cycle"
@@ -59,30 +58,25 @@ def z_upper_bound(m: int, params: Params) -> int:
 def absorbing_bound(params: Params) -> int:
     """Certified bound B: [0, B] is forward-invariant and attracts every orbit.
 
-    Phase one grows a seed until the digit-count cap of B itself fits
-    inside B, making [0, B] forward-invariant.  Phase two absorbs every n
-    whose cap m*max_digit_step fails to certify strict descent (cap >= n),
-    so that above the final B the cap argument alone proves z(n) < n.
-    Cap violations only exist while k**(m-1) <= m*max_digit_step; past the
-    last such m the margin grows monotonically because (m+1)/m <= 2 < k,
-    which the exit assertion pins down.
+    With S = max_digit_step, B = M*S for the largest M >= 2 with
+    k**(M-1) <= M*S, or B = k - 1 when no such M exists.
+
+    Proof.  An m-digit value maps to at most m*S.  Once k**(m-1) > m*S it
+    stays so for every larger m: m*S grows by (m+1)/m <= 2 < k per digit,
+    while k**(m-1) grows by k.  So the M-candidates are exactly 2..M.
+    B < k**M, so values in [0, B] have at most M digits and map into
+    [0, M*S] = [0, B].  Above B, an n with m <= M digits maps to at most
+    m*S <= B < n, and an n with m > M digits to at most m*S < k**(m-1) <= n.
+    When no M exists, 2*S < k, so B = k - 1 holds every one-digit image.
     """
     k = params.k
     step_max = max_digit_step(params)
-    bound = max(k - 1, step_max)
-    while True:
-        cap = digit_count(bound, k) * step_max
-        if cap <= bound:
-            break
-        bound = cap
-    m = 2
-    power = k  # k**(m-1)
-    while power <= m * step_max:
-        bound = max(bound, min(m * step_max, power * k - 1))
+    m, power = 1, k  # power = k**m; the loop stops with m = M, or 1 if no M
+    while power <= (m + 1) * step_max:
         m += 1
         power *= k
-    assert m * step_max < power and (m + 1) * step_max < power * k
-    assert digit_count(bound, k) * step_max <= bound
+    bound = max(k - 1, m * step_max)
+    assert m * step_max <= bound < power and (m + 1) * step_max < power
     return bound
 
 
@@ -325,10 +319,10 @@ class CycleClassification:
 class Theorem2Report:
     """Census classification under condition (a) alone.
 
-    ``all_orbits_terminated`` asserts that every scanned start landed in
-    a census cycle; the classification table is the substantive answer
-    (non-{1,2} cycles need not be fixed points, so no stronger shape
-    claim is made).
+    ``passed`` is ``all_orbits_terminated``, which is always true: the census
+    counts each start of [0, max(B, n_max)] exactly once, or raises
+    AbsorptionError.  The substantive answer is the classification table
+    (non-{1,2} cycles need not be fixed points; no shape claim is made).
     """
 
     params: Params

@@ -74,6 +74,13 @@ def test_absorbing_bound_frozen_values():
     assert absorbing_bound(Params(10, 5)) == 12
     assert absorbing_bound(Params(5, 3)) == 12
     assert absorbing_bound(Params(137, 11)) == 364
+    # no m >= 2 has k**(m-1) <= m*S, so B = k - 1
+    assert absorbing_bound(Params(5, 4)) == 4
+    assert absorbing_bound(Params(2**32, 2**31)) == 2**32 - 1
+    # M = 2 at the largest base, M = 3 at the only cells found with it
+    assert absorbing_bound(Params(2**32, 3)) == 4099276461778781980
+    assert absorbing_bound(Params(4, 2)) == 18
+    assert absorbing_bound(Params(6, 2)) == 36
 
 
 @pytest.mark.parametrize("k,p", SMALL_PARAMS)
