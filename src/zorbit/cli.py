@@ -376,7 +376,8 @@ def _cmd_check(args: argparse.Namespace, config: dict[str, str]) -> _Result:
     verdict = "satisfied" if report.satisfied else "not satisfied"
     b_wit = _joined(report.b_violations, ", ") or "-"
     c_wit = "; ".join(f"q={q} ({clause})" for q, clause in report.c_violations) or "-"
-    columns = ["k", "p", "a_holds", "b_holds", "b_violations", "c_holds", "c_violations", "satisfied"]
+    columns = ["k", "p", "a_holds", "b_holds", "b_violations"]
+    columns += ["c_holds", "c_violations", "satisfied"]
     row = [
         params.k,
         params.p,
@@ -645,8 +646,9 @@ def build_parser() -> argparse.ArgumentParser:
     commands["verify"].add_argument(
         "--theorem", type=_int, choices=(1, 2), required=True, help="which verifier to run"
     )
-    commands["sweep"].add_argument("--k-range", type=_int_range, required=True, metavar="LO:HI")
-    commands["sweep"].add_argument("--p-range", type=_int_range, required=True, metavar="LO:HI")
+    sweep_parser = commands["sweep"]
+    sweep_parser.add_argument("--k-range", type=_int_range, required=True, metavar="LO:HI")
+    sweep_parser.add_argument("--p-range", type=_int_range, required=True, metavar="LO:HI")
     for name, n_max_help in (
         ("census", "widen basin attribution to [0, n-max]"),
         ("verify", f"range of starting values to cover (default {DEFAULT_N_MAX})"),
@@ -654,8 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         commands[name].add_argument("--n-max", type=_positive_int, help=n_max_help)
 
-    commands["sweep"].add_argument("--out", metavar="FILE", help="write the output document to FILE")
-    commands["sweep"].add_argument(
+    sweep_parser.add_argument("--out", metavar="FILE", help="write the output document to FILE")
+    sweep_parser.add_argument(
         "--jobs",
         type=_positive_int,
         default=1,

@@ -8,11 +8,12 @@ else here (cycle enumeration, fixed points, the collapse verifiers, and
 parameter sweeps) reduces to finite, exhaustively checked computation
 inside the box.
 
-One engine serves them all: ``_census`` resolves the box once, recording
-each node's cycle and its depth (steps to that cycle), walks each start
-above the box down into it once, counting basins and the longest transient
-in the same walk, and names the smallest start that ends in a positive
-cycle other than {1, 2}.  ``cycle_census``, ``fixed_points``, both
+One engine serves them all: ``_walk``, keyed by the digit map alone,
+resolves the box once, recording each node's cycle and its depth (steps to
+that cycle), then walks each start above the box down into it once,
+counting basins and the longest transient in the same walk.  ``_census``
+feeds it ``digit_step`` and ``absorbing_bound`` and picks the Theorem 1
+witness by ``classify_cycle``; ``cycle_census``, ``fixed_points``, both
 verifiers and ``sweep`` all read their answers from it.
 """
 
@@ -21,7 +22,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 from array import array
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 from .errors import AbsorptionError, ParameterDomainError, PreconditionError
@@ -131,17 +134,37 @@ def _census(params: Params, n_max: int | None) -> tuple[CycleCensus, int, int | 
     """The census of [0, max(B, n_max)], the longest transient in [1, n_max]
     (``n_max`` defaults to B), and the witness: the smallest start n >= 1
     whose orbit ends in a positive cycle other than {1, 2}, or None.
-
-    The box is resolved once with an explicit stack: ``cycle_id[n]`` indexes
-    ``found`` at the cycle n ends in and ``depth[n]`` counts the steps n takes
-    to enter it.  While resolving, ``cycle_id`` holds -1 for unseen nodes and
-    -2 for nodes on the walk in progress, so a walk that meets its own path
-    has closed a new cycle.  Each start above B is then descended once with
-    strict descent checked at every step, so a broken certificate surfaces
-    as AbsorptionError instead of a wrong census.
     """
-    k = params.k
-    table = tuple(digit_step(a, params.p) for a in range(k))
+    bound = absorbing_bound(params)
+    cycles, firsts, longest = _walk(params.k, partial(digit_step, p=params.p), bound, n_max)
+    offending = (LABEL_FIXED_POINT, LABEL_OTHER)
+    starts = [n for c, n in zip(cycles, firsts) if classify_cycle(c) in offending]
+    hi = bound if n_max is None else max(bound, n_max)
+    census = CycleCensus(params=params, absorbing_bound=bound, cycles=cycles, scanned_range=(0, hi))
+    return census, longest, min(starts, default=None)
+
+
+def _walk(
+    k: int, digit: Callable[[int], int], bound: int, n_max: int | None
+) -> tuple[tuple[Cycle, ...], tuple[int, ...], int]:
+    """Every cycle of n -> sum of ``digit(a)`` over the base-k digits a of n,
+    with basins over [0, max(bound, n_max)]; each cycle's smallest start, in
+    the same order; and the longest transient in [1, n_max] (default bound).
+
+    ``digit`` is any nonnegative map on 0..k-1; ``bound`` must be absorbing:
+    [0, bound] maps into itself and every n above it maps below n.  While the
+    box is resolved, ``cycle_id`` holds -1 for unseen nodes and -2 for nodes
+    on the walk in progress, so a walk that meets its own path has closed a
+    new cycle; then it indexes ``found`` at the cycle n ends in, and
+    ``depth[n]`` counts the steps n takes to enter it.  Walks begin in
+    increasing order, so the one closing a cycle begins at its smallest start.
+    Each start above ``bound`` is descended once, checking strict descent at
+    every step: a broken certificate raises AbsorptionError, not a wrong census.
+    """
+    size = bound + 1  # allocate first: a box past the address space fails at once
+    cycle_id = array("l", [-1]) * size
+    depth = array("l", [0]) * size
+    table = tuple(map(digit, range(k)))
 
     def step(n: int, _table=table, _k=k) -> int:
         total = 0
@@ -150,11 +173,7 @@ def _census(params: Params, n_max: int | None) -> tuple[CycleCensus, int, int | 
             total += _table[a]
         return total
 
-    bound = absorbing_bound(params)
-    size = bound + 1
-    cycle_id = array("l", [-1]) * size
-    depth = array("l", [0]) * size
-    found: list[tuple[int, ...]] = []
+    found: list[tuple[tuple[int, ...], int]] = []
     for start in range(size):
         if cycle_id[start] != -1:
             continue
@@ -172,7 +191,7 @@ def _census(params: Params, n_max: int | None) -> tuple[CycleCensus, int, int | 
         if cid == -2:
             entry = path.index(current)
             cid = len(found)
-            found.append(_canonical_rotation(path[entry:]))
+            found.append((_canonical_rotation(path[entry:]), start))
             for v in path[entry:]:
                 cycle_id[v] = cid
             del path[entry:]
@@ -183,12 +202,11 @@ def _census(params: Params, n_max: int | None) -> tuple[CycleCensus, int, int | 
             cycle_id[v] = cid
 
     top = bound if n_max is None else n_max
-    hi = max(bound, top)
     counts = [0] * len(found)
     for cid in cycle_id:
         counts[cid] += 1
     longest = max(islice(depth, 1, min(bound, top) + 1), default=0)  # a slice would copy
-    for n in range(bound + 1, hi + 1):
+    for n in range(bound + 1, top + 1):
         current = n
         taken = 0
         while current > bound:
@@ -204,18 +222,10 @@ def _census(params: Params, n_max: int | None) -> tuple[CycleCensus, int, int | 
         if taken > longest:
             longest = taken
 
-    # Cycle members lie in the box and an offending cycle is all positive, so
-    # the scan stops by B, at the latest on an offending cycle's minimum.
-    bad = {cid for cid, values in enumerate(found) if set(values) not in ({0}, {1, 2})}
-    witness = next(n for n in range(1, size) if cycle_id[n] in bad) if bad else None
     # Cycles are disjoint, so ordering by values orders by minimum element.
-    cycles = tuple(
-        Cycle(values=values, basin_size=count) for values, count in sorted(zip(found, counts))
-    )
-    census = CycleCensus(
-        params=params, absorbing_bound=bound, cycles=cycles, scanned_range=(0, hi)
-    )
-    return census, longest, witness
+    ordered = sorted(zip(found, counts))
+    cycles = tuple(Cycle(values=values, basin_size=count) for (values, _), count in ordered)
+    return cycles, tuple(first for (_, first), _ in ordered), longest
 
 
 def fixed_points(params: Params) -> list[int]:

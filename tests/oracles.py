@@ -46,10 +46,20 @@ def naive_orbit(n: int, k: int, p: int, max_steps: int = 10_000):
 
     Returns (values, preperiod, cycle_length).
     """
+    return _orbit_by_seen_set(n, lambda m: z_by_digit_sum(m, k, p), max_steps)
+
+
+def orbit_by_table(n: int, k: int, table, max_steps: int = 10_000):
+    """``naive_orbit`` for any digit map: n -> sum of table[a] over the base-k
+    digits a of n, split one divmod at a time."""
+    return _orbit_by_seen_set(n, lambda m: sum(table[a] for a in digits_by_divmod(m, k)), max_steps)
+
+
+def _orbit_by_seen_set(n: int, step, max_steps: int):
     values = [n]
     seen = {n}
     for _ in range(max_steps):
-        n = z_by_digit_sum(n, k, p)
+        n = step(n)
         values.append(n)
         if n in seen:
             lam = values.index(n)

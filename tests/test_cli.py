@@ -567,6 +567,18 @@ def test_memory_error_and_interrupt_exit_codes(monkeypatch, capsys, raised, code
     assert captured.err == message
 
 
+def test_census_past_the_address_space_exits_2_at_once(monkeypatch, capsys):
+    # B ~ 4.1e18: the box allocation fails before any digit is mapped
+    def never(*_):
+        raise AssertionError("digit table built before the box was allocated")
+
+    monkeypatch.setattr("zorbit.dynamics.digit_step", never)
+    assert cli.main(["census", "--k", "4294967296", "--p", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "zorbit: error: out of memory\n"
+
+
 # -- config file -------------------------------------------------------------
 
 

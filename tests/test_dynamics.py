@@ -20,6 +20,7 @@ from zorbit.dynamics import (
     THEOREM1_PASS,
     THEOREM1_SKIPPED,
     _census,
+    _walk,
     absorbing_bound,
     classify_cycle,
     cycle_census,
@@ -36,7 +37,13 @@ from zorbit.hypothesis import check_all
 from zorbit.kadic import from_digits
 from zorbit.transform import Params, digit_step, orbit, z_transform
 
-from oracles import canonical_cycle, cycles_by_independent_orbits, naive_orbit, z_by_digit_sum
+from oracles import (
+    canonical_cycle,
+    cycles_by_independent_orbits,
+    naive_orbit,
+    orbit_by_table,
+    z_by_digit_sum,
+)
 
 SMALL_PARAMS = [(5, 3), (10, 5), (137, 11), (3, 2), (7, 3), (9, 4), (27, 3), (12, 5), (48, 7), (3, 29)]
 
@@ -164,6 +171,18 @@ def test_census_matches_independent_orbits(k, p):
     assert {c.values for c in census.cycles} == expected
 
 
+def test_box_past_the_address_space_fails_before_the_digit_table(monkeypatch):
+    # B = 2*S with S = (t+1)(t+2) ~ 2.06e18: repeating an array past
+    # PY_SSIZE_T_MAX raises MemoryError at once, before any of the 2**32
+    # digit-table entries is computed
+    def never(*_):
+        raise AssertionError("digit table built before the box was allocated")
+
+    monkeypatch.setattr("zorbit.dynamics.digit_step", never)
+    with pytest.raises(MemoryError):
+        cycle_census(Params(2**32, 3))
+
+
 @st.composite
 def small_cell_and_range(draw) -> tuple[int, int, int]:
     """A cell with box B <= 5 000 and a range end N below or above B."""
@@ -203,6 +222,75 @@ def test_census_and_sweep_match_naive_orbits(case):
     assert row.max_transient == longest
     if check_all(params).satisfied:
         assert (row.theorem1_status == THEOREM1_PASS) == (witness is None)
+
+
+# Base 10 with the digit map a -> a**e, so S = 9**e.  The proof of B = M*S
+# takes the largest M >= 2 with 10**(M-1) <= M*S:
+#   e = 2: S = 81:   10**2 <= 3*81 = 243,     10**3 > 4*81 = 324     -> B = 243
+#   e = 3: S = 729:  10**3 <= 4*729 = 2916,   10**4 > 5*729 = 3645   -> B = 2916
+#   e = 4: S = 6561: 10**4 <= 5*6561 = 32805, 10**5 > 6*6561 = 39366 -> B = 32805
+DIGIT_POWER_CYCLES = {
+    # A. Porges, "A set of eight numbers", Amer. Math. Monthly 52 (1945)
+    2: (243, [(0,), (1,), (4, 16, 37, 58, 89, 145, 42, 20)]),
+    # fixed points: the narcissistic numbers of OEIS A005188
+    3: (
+        2_916,
+        [(0,), (1,), (55, 250, 133), (136, 244), (153,), (160, 217, 352)]
+        + [(370,), (371,), (407,), (919, 1459)],
+    ),
+    4: (
+        32_805,
+        [(0,), (1,), (1138, 4179, 9219, 13139, 6725, 4338, 4514), (1634,), (2178, 6514)]
+        + [(8208,), (9474,)],
+    ),
+}
+
+
+@pytest.mark.parametrize("exponent", sorted(DIGIT_POWER_CYCLES))
+def test_walk_finds_published_digit_power_cycles(exponent):
+    bound, expected = DIGIT_POWER_CYCLES[exponent]
+    cycles, _, _ = _walk(10, lambda a: a**exponent, bound, None)
+    assert [c.values for c in cycles] == expected
+    assert sum(c.basin_size for c in cycles) == bound + 1
+    if exponent == 2:
+        # the happy numbers <= 243 (OEIS A007770)
+        assert cycles[1].basin_size == 39
+
+
+@st.composite
+def digit_map_and_range(draw) -> tuple[int, tuple[int, ...], int, int | None]:
+    """A base k, a digit table with entries <= k*k, the box k**4 and a range end.
+
+    An m-digit value maps to at most m*k*k, which is <= k**4 for m <= 5 and
+    below k**(m-1) for m >= 5, so [0, k**4] is absorbing for every such table.
+    """
+    k = draw(st.integers(min_value=3, max_value=12))
+    table = tuple(draw(st.lists(st.integers(0, k * k), min_size=k, max_size=k)))
+    bound = k**4
+    n_max = draw(st.one_of(st.none(), st.integers(1, bound), st.integers(bound + 1, bound + 2_000)))
+    return k, table, bound, n_max
+
+
+@given(digit_map_and_range())
+@settings(max_examples=30, deadline=None)
+def test_walk_matches_per_start_orbits_for_random_digit_maps(case):
+    # basins, each cycle's smallest start and the longest transient
+    k, table, bound, n_max = case
+    cycles, firsts, longest = _walk(k, table.__getitem__, bound, n_max)
+    top = bound if n_max is None else n_max
+    basins: Counter = Counter()
+    first: dict[tuple[int, ...], int] = {}
+    deepest = 0
+    for n in range(max(bound, top) + 1):
+        values, lam, cycle_length = orbit_by_table(n, k, table)
+        cycle = canonical_cycle(values, lam, cycle_length)
+        basins[cycle] += 1
+        first.setdefault(cycle, n)
+        if 1 <= n <= top:
+            deepest = max(deepest, lam)
+    assert {c.values: c.basin_size for c in cycles} == dict(basins)
+    assert dict(zip((c.values for c in cycles), firsts)) == first
+    assert longest == deepest
 
 
 # -- fixed points ------------------------------------------------------------
