@@ -139,7 +139,7 @@ def _load_config(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):

@@ -127,6 +127,8 @@ def cycle_census(params: Params, extra_range: int | None = None) -> CycleCensus:
     The scanned range is [0, max(absorbing_bound, extra_range)].  Cycles
     are reported in canonical rotation, sorted by minimum element.
     """
+    if extra_range is not None and extra_range < 0:
+        raise ParameterDomainError(f"extra_range must be >= 0, got {extra_range}")
     return _census(params, extra_range)[0]
 
 

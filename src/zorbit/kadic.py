@@ -18,15 +18,15 @@ MAX_BASE = 2**32
 
 
 def _check_base(base: int) -> None:
-    if base < 2:
-        raise ParameterDomainError(f"base must be an integer >= 2, got {base}")
+    if not isinstance(base, int) or base < 2:
+        raise ParameterDomainError(f"base must be an integer >= 2, got {base!r}")
     if base > MAX_BASE:
         raise ParameterDomainError(f"base must be <= 2**32, got {base}")
 
 
 def _check_value(n: int) -> None:
-    if n < 0:
-        raise ParameterDomainError(f"value must be nonnegative, got {n}")
+    if not isinstance(n, int) or n < 0:
+        raise ParameterDomainError(f"value must be a nonnegative integer, got {n!r}")
 
 
 # Values longer than this many bits are split into leaf chunks of at most
@@ -40,16 +40,21 @@ _LEAF_BITS = 1024
 
 
 def _leaf_chunks(n: int, k: int) -> Iterator[tuple[int, int]]:
-    """Split ``n > 0`` into base-``k`` leaf chunks, least significant first.
+    """Split any ``n >= 0`` into base-``k`` leaf chunks, least significant first.
 
     Yields ``(chunk, width)`` pairs: the chunk's digits, padded with zeros
     to ``width`` digits, are the next digits of ``n``.  The top chunk has
     width 0 (never padded), so no trailing zero digits appear; every chunk
-    is below ``2**_LEAF_BITS``.  ``n`` is divided by the repeated squares
-    ``P_i = k**(w * 2**i)``, built once per call, keeping ``x < P_i**2`` at
-    each node so both halves are below ``P_i``; a zero half below a nonzero
-    one is yielded at once as a zero chunk of the half's full width.
+    is below ``2**_LEAF_BITS``.  A value of at most ``_LEAF_BITS`` bits,
+    zero included, is the single top leaf ``(n, 0)``.  A longer one is
+    divided by the repeated squares ``P_i = k**(w * 2**i)``, built once per
+    call, keeping ``x < P_i**2`` at each node so both halves are below
+    ``P_i``; a zero half below a nonzero one is yielded at once as a zero
+    chunk of the half's full width.
     """
+    if n.bit_length() <= _LEAF_BITS:
+        yield n, 0
+        return
     width = max(1, _LEAF_BITS // k.bit_length())
     powers = [k**width]
     # P**2 >= 2**(2 * P.bit_length() - 2) > n ends the chain.
@@ -85,11 +90,12 @@ class KAdicDigits:
     digits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_base(self.base)
+        base = self.base
+        _check_base(base)
         digits = tuple(self.digits)
         for d in digits:
-            if not 0 <= d < self.base:
-                raise DigitDomainError(f"digit {d} outside [0, {self.base})")
+            if not (isinstance(d, int) and 0 <= d < base):
+                raise DigitDomainError(f"digit {d!r} is not an integer in [0, {base})")
         end = len(digits)
         while end and digits[end - 1] == 0:
             end -= 1
@@ -113,22 +119,14 @@ def to_digits(n: int, k: int) -> KAdicDigits:
     """
     _check_base(k)
     _check_value(n)
-    if n.bit_length() <= _LEAF_BITS:
-        return KAdicDigits(base=k, digits=tuple(_peel_digits(n, k)))
-    digits = []
+    digits: list[int] = []
     for chunk, width in _leaf_chunks(n, k):
-        leaf = _peel_digits(chunk, k)
-        digits += leaf
-        digits += [0] * (width - len(leaf))
+        end = len(digits) + width
+        while chunk:
+            chunk, d = divmod(chunk, k)
+            digits.append(d)
+        digits += [0] * (end - len(digits))
     return KAdicDigits(base=k, digits=tuple(digits))
-
-
-def _peel_digits(n: int, k: int) -> list[int]:
-    digits = []
-    while n:
-        n, d = divmod(n, k)
-        digits.append(d)
-    return digits
 
 
 def from_digits(digits: Union[KAdicDigits, Sequence[int]], base: int | None = None) -> int:
@@ -171,8 +169,8 @@ def from_digits(digits: Union[KAdicDigits, Sequence[int]], base: int | None = No
 def _horner(seq: Sequence[int], base: int) -> int:
     value = 0
     for d in reversed(seq):
-        if not 0 <= d < base:
-            raise DigitDomainError(f"digit {d} outside [0, {base})")
+        if not (isinstance(d, int) and 0 <= d < base):
+            raise DigitDomainError(f"digit {d!r} is not an integer in [0, {base})")
         value = value * base + d
     return value
 
@@ -182,17 +180,4 @@ def digit_count(n: int, k: int) -> int:
 
     Returns 1 for ``n = 0`` (a displayed zero has one digit).
     """
-    _check_base(k)
-    _check_value(n)
-    if n == 0:
-        return 1
-    count = 0
-    if n.bit_length() > _LEAF_BITS:
-        # Every leaf but the last (the top, of width 0) holds exactly
-        # ``width`` digits; the loop below counts the top leaf's digits.
-        for n, width in _leaf_chunks(n, k):
-            count += width
-    while n:
-        n //= k
-        count += 1
-    return count
+    return len(to_digits(n, k)) or 1

@@ -18,8 +18,8 @@ DEFAULT_MAX_STEPS = 10_000
 
 
 def _check_modulus(p: int) -> None:
-    if p < 2:
-        raise ParameterDomainError(f"modulus must be an integer >= 2, got {p}")
+    if not isinstance(p, int) or p < 2:
+        raise ParameterDomainError(f"modulus must be an integer >= 2, got {p!r}")
     if p > MAX_BASE:
         raise ParameterDomainError(f"modulus must be <= 2**32, got {p}")
 
@@ -39,8 +39,8 @@ class Params:
     s: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.k < 3:
-            raise ParameterDomainError(f"base k must be >= 3, got {self.k}")
+        if not isinstance(self.k, int) or self.k < 3:
+            raise ParameterDomainError(f"base k must be an integer >= 3, got {self.k!r}")
         if self.k > MAX_BASE:
             raise ParameterDomainError(f"base k must be <= 2**32, got {self.k}")
         _check_modulus(self.p)
@@ -60,8 +60,8 @@ def digit_step(a: int, p: int) -> int:
     that no truncation ever happens.
     """
     _check_modulus(p)
-    if a < 0:
-        raise ParameterDomainError(f"digit must be nonnegative, got {a}")
+    if not isinstance(a, int) or a < 0:
+        raise ParameterDomainError(f"digit must be a nonnegative integer, got {a!r}")
     r, j = divmod(a, p)
     if j == 1:
         out = (r + 1) * (r + 2)

@@ -10,9 +10,10 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zorbit import cli
@@ -542,6 +543,26 @@ def test_arbitrary_values_answer_without_traceback(slot, text):
             code = cli.main(ARBITRARY_VALUE_ARGV[slot](text))
         except SystemExit as exc:  # argparse exits on usage errors and -h
             code = exc.code
+    assert code in (0, 1, 2)
+    assert len(stderr.getvalue().encode()) < 1_024, stderr.getvalue()[:300]
+    assert "Traceback" not in stderr.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(content=st.binary(max_size=2_000))
+@example(content=b"k = 10\n\xff = 5\n")  # not UTF-8
+def test_arbitrary_config_bytes_answer_without_traceback(content):
+    # one file per example: Hypothesis rejects the function-scoped tmp_path
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "zorbit.cfg")
+        with open(path, "wb") as handle:
+            handle.write(content)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(["check", "--config", path])
+            except SystemExit as exc:
+                code = exc.code
     assert code in (0, 1, 2)
     assert len(stderr.getvalue().encode()) < 1_024, stderr.getvalue()[:300]
     assert "Traceback" not in stderr.getvalue()

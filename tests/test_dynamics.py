@@ -139,6 +139,18 @@ def test_census_extra_range_widens_basins():
     assert pair.basin_size > 2
 
 
+@pytest.mark.parametrize("extra_range", [-1, -2, -100])
+def test_census_rejects_negative_extra_range(extra_range):
+    with pytest.raises(ParameterDomainError):
+        cycle_census(Params(10, 5), extra_range)
+
+
+def test_census_extra_range_zero_scans_the_box():
+    census = cycle_census(Params(10, 5), 0)
+    assert census.scanned_range == (0, census.absorbing_bound)
+    assert census == cycle_census(Params(10, 5))
+
+
 def test_census_extra_range_below_bound_is_noop():
     census = cycle_census(Params(137, 11), extra_range=5)
     assert census.scanned_range == (0, 364)

@@ -1,8 +1,11 @@
 """Huge values: the divide-and-conquer digit split against per-digit oracles.
 
-``to_digits``, ``digit_count`` and ``z_transform`` split values longer
-than the leaf size into leaf chunks before any per-digit loop runs.  The inputs straddle
-that size and aim at the splitter's edges: powers ``k**m`` and their
+Every value ``to_digits`` decomposes goes through the one splitter,
+``_leaf_chunks``: a value of at most the leaf size is its own single leaf,
+a longer one is split into leaf chunks before any per-digit loop runs.
+``digit_count`` is the length of ``to_digits``, and ``z_transform`` splits
+values longer than the leaf size the same way.  The inputs straddle that
+size and aim at the splitter's edges: powers ``k**m`` and their
 neighbours at power-of-two ``m`` (where the squares ``k**(w * 2**i)`` it
 divides by sit), and long runs of zero digits (zero halves that must be
 padded, never trimmed, unless nothing nonzero lies above them).

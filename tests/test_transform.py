@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zorbit.errors import BudgetExceededError, ParameterDomainError
-from zorbit.kadic import MAX_BASE, to_digits
+from zorbit.errors import BudgetExceededError, DigitDomainError, ParameterDomainError
+from zorbit.kadic import MAX_BASE, KAdicDigits, digit_count, from_digits, to_digits
 from zorbit.transform import DEFAULT_MAX_STEPS, Params, digit_step, orbit, z_transform
 
 from oracles import digit_map_by_formula, naive_orbit, z_by_digit_sum
@@ -43,6 +44,36 @@ def test_params_split(k, p, t, s):
 def test_params_domain_rejected(k, p):
     with pytest.raises(ParameterDomainError):
         Params(k, p)
+
+
+# Exact arithmetic needs integer bases, moduli and digits: a float or a
+# Fraction must raise, never flow through divmod into a float answer.
+NON_INTEGER_CALLS = {
+    "Params k": (lambda: Params(137.0, 11), ParameterDomainError),
+    "Params p": (lambda: Params(137, 11.0), ParameterDomainError),
+    "to_digits base": (lambda: to_digits(10, 3.0), ParameterDomainError),
+    "to_digits value": (lambda: to_digits(Fraction(10), 3), ParameterDomainError),
+    "digit_count base": (lambda: digit_count(10, 3.0), ParameterDomainError),
+    "digit_step digit": (lambda: digit_step(6.0, 5), ParameterDomainError),
+    "digit_step modulus": (lambda: digit_step(6, 5.0), ParameterDomainError),
+    "from_digits base": (lambda: from_digits([1, 2], 10.0), ParameterDomainError),
+    "from_digits digit": (lambda: from_digits([1.5], 10), DigitDomainError),
+    "from_digits long": (lambda: from_digits([1] * 999 + [2.0], 10), DigitDomainError),
+    "KAdicDigits digit": (lambda: KAdicDigits(10, (Fraction(3),)), DigitDomainError),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NON_INTEGER_CALLS))
+def test_non_integer_inputs_rejected(call):
+    make, error = NON_INTEGER_CALLS[call]
+    with pytest.raises(error):
+        make()
+
+
+def test_bools_are_integers():
+    assert tuple(to_digits(True, 3)) == (1,)
+    assert from_digits([True, False, True], 2) == 5
+    assert digit_step(True, 5) == 2
 
 
 # -- digit_step --------------------------------------------------------------
