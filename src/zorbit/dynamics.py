@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 
-from .errors import AbsorptionError, ParameterDomainError, PreconditionError
+from .errors import AbsorptionError, ParameterDomainError, PreconditionError, _check_int
 from .hypothesis import HypothesisReport, check_a, check_all
 from .transform import OrbitTrace, Params, digit_step, orbit
 
@@ -53,8 +53,7 @@ def max_digit_step(params: Params) -> int:
 
 def z_upper_bound(m: int, params: Params) -> int:
     """Cap on the transform of any m-digit value: m times the digit maximum."""
-    if m < 1:
-        raise ParameterDomainError(f"digit count must be >= 1, got {m}")
+    _check_int("digit count", m, 1)
     return m * max_digit_step(params)
 
 
@@ -127,8 +126,8 @@ def cycle_census(params: Params, extra_range: int | None = None) -> CycleCensus:
     The scanned range is [0, max(absorbing_bound, extra_range)].  Cycles
     are reported in canonical rotation, sorted by minimum element.
     """
-    if extra_range is not None and extra_range < 0:
-        raise ParameterDomainError(f"extra_range must be >= 0, got {extra_range}")
+    if extra_range is not None:
+        _check_int("extra_range", extra_range, 0)
     return _census(params, extra_range)[0]
 
 
@@ -242,7 +241,7 @@ def fixed_points(params: Params) -> list[int]:
 def classify_cycle(cycle: Cycle) -> str:
     """Label a census cycle: the universal {1, 2} cycle, a fixed point,
     the degenerate zero, or other."""
-    if cycle.values == (0,):
+    if cycle.degenerate:
         return LABEL_ZERO
     if set(cycle.values) == {1, 2}:
         return LABEL_UNIVERSAL
@@ -302,8 +301,7 @@ def verify_theorem1(params: Params, n_max: int) -> Theorem1Report:
     actually covers [0, max(absorbing_bound, n_max)], which subsumes the
     requested range.
     """
-    if n_max < 1:
-        raise ParameterDomainError(f"n_max must be >= 1, got {n_max}")
+    _check_int("n_max", n_max, 1)
     report = check_all(params)
     if not report.satisfied:
         failed = report.failed_conditions
@@ -354,13 +352,12 @@ def verify_theorem2(params: Params, n_max: int) -> Theorem2Report:
     Requires condition (a) only.  Each cycle is labelled as the universal
     {1, 2} cycle, a fixed point, the degenerate zero, or other.
     """
-    if n_max < 1:
-        raise ParameterDomainError(f"n_max must be >= 1, got {n_max}")
+    _check_int("n_max", n_max, 1)
     if not check_a(params):
         raise PreconditionError(
             f"condition (a) fails for k={params.k}, p={params.p}", failed=("a",)
         )
-    census = cycle_census(params, extra_range=n_max)
+    census = _census(params, n_max)[0]
     lo, hi = census.scanned_range
     terminated = sum(c.basin_size for c in census.cycles) == hi - lo + 1
     classification = tuple(
@@ -438,12 +435,13 @@ def sweep(
     """
     k_lo, k_hi = k_range
     p_lo, p_hi = p_range
+    for name, bounds in (("k_range", k_range), ("p_range", p_range)):
+        for bound in bounds:  # no lower bound: k < 3 and p < 2 become skipped rows
+            _check_int(f"{name} bound", bound)
     if k_lo > k_hi or p_lo > p_hi:
         raise ParameterDomainError("ranges must satisfy lo <= hi")
-    if n_max < 1:
-        raise ParameterDomainError(f"n_max must be >= 1, got {n_max}")
-    if jobs < 1:
-        raise ParameterDomainError(f"jobs must be >= 1, got {jobs}")
+    _check_int("n_max", n_max, 1)
+    _check_int("jobs", jobs, 1)
     cells = [(k, p, n_max) for k in range(k_lo, k_hi + 1) for p in range(p_lo, p_hi + 1)]
     workers = min(jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:

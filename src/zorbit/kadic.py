@@ -12,21 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
-from .errors import DigitDomainError, ParameterDomainError
-
-MAX_BASE = 2**32
-
-
-def _check_base(base: int) -> None:
-    if not isinstance(base, int) or base < 2:
-        raise ParameterDomainError(f"base must be an integer >= 2, got {base!r}")
-    if base > MAX_BASE:
-        raise ParameterDomainError(f"base must be <= 2**32, got {base}")
-
-
-def _check_value(n: int) -> None:
-    if not isinstance(n, int) or n < 0:
-        raise ParameterDomainError(f"value must be a nonnegative integer, got {n!r}")
+from .errors import MAX_BASE, DigitDomainError, ParameterDomainError, _check_int, _echo
 
 
 # Values longer than this many bits are split into leaf chunks of at most
@@ -91,11 +77,11 @@ class KAdicDigits:
 
     def __post_init__(self) -> None:
         base = self.base
-        _check_base(base)
+        _check_int("base", base, 2, word=True)
         digits = tuple(self.digits)
         for d in digits:
             if not (isinstance(d, int) and 0 <= d < base):
-                raise DigitDomainError(f"digit {d!r} is not an integer in [0, {base})")
+                raise DigitDomainError(f"digit {_echo(d)} is not an integer in [0, {base})")
         end = len(digits)
         while end and digits[end - 1] == 0:
             end -= 1
@@ -117,8 +103,8 @@ def to_digits(n: int, k: int) -> KAdicDigits:
     ``n = 0`` yields the empty vector; otherwise the top digit is nonzero
     and recomposition is exact for arbitrarily large ``n``.
     """
-    _check_base(k)
-    _check_value(n)
+    _check_int("base", k, 2, word=True)
+    _check_int("value", n, 0)
     digits: list[int] = []
     for chunk, width in _leaf_chunks(n, k):
         end = len(digits) + width
@@ -140,7 +126,7 @@ def from_digits(digits: Union[KAdicDigits, Sequence[int]], base: int | None = No
     if isinstance(digits, KAdicDigits):
         if base is not None and base != digits.base:
             raise ParameterDomainError(
-                f"conflicting bases: vector carries {digits.base}, argument says {base}"
+                f"conflicting bases: vector carries {digits.base}, argument says {_echo(base)}"
             )
         base = digits.base
         seq: Sequence[int] = digits.digits
@@ -148,7 +134,7 @@ def from_digits(digits: Union[KAdicDigits, Sequence[int]], base: int | None = No
         if base is None:
             raise ParameterDomainError("base is required with a raw digit sequence")
         seq = tuple(digits)
-    _check_base(base)
+    _check_int("base", base, 2, word=True)
     # Leaf blocks of at most _LEAF_BITS bits by Horner's rule, then
     # neighbours combined pairwise as lo + hi * base**width, squaring the
     # power per level: one Horner pass over a long value is quadratic.
@@ -170,7 +156,7 @@ def _horner(seq: Sequence[int], base: int) -> int:
     value = 0
     for d in reversed(seq):
         if not (isinstance(d, int) and 0 <= d < base):
-            raise DigitDomainError(f"digit {d!r} is not an integer in [0, {base})")
+            raise DigitDomainError(f"digit {_echo(d)} is not an integer in [0, {base})")
         value = value * base + d
     return value
 

@@ -11,17 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceededError, ParameterDomainError
-from .kadic import MAX_BASE, _LEAF_BITS, _leaf_chunks
+from .errors import BudgetExceededError, _check_int, _echo
+from .kadic import _LEAF_BITS, _leaf_chunks
 
 DEFAULT_MAX_STEPS = 10_000
-
-
-def _check_modulus(p: int) -> None:
-    if not isinstance(p, int) or p < 2:
-        raise ParameterDomainError(f"modulus must be an integer >= 2, got {p!r}")
-    if p > MAX_BASE:
-        raise ParameterDomainError(f"modulus must be <= 2**32, got {p}")
 
 
 @dataclass(frozen=True)
@@ -39,11 +32,8 @@ class Params:
     s: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 3:
-            raise ParameterDomainError(f"base k must be an integer >= 3, got {self.k!r}")
-        if self.k > MAX_BASE:
-            raise ParameterDomainError(f"base k must be <= 2**32, got {self.k}")
-        _check_modulus(self.p)
+        _check_int("base k", self.k, 3, word=True)
+        _check_int("modulus", self.p, 2, word=True)
         t, s = divmod(self.k - 1, self.p)
         if s == 0:
             t, s = t - 1, self.p
@@ -59,9 +49,8 @@ def digit_step(a: int, p: int) -> int:
     The equivalent quotient forms divide exactly; the assertions guard
     that no truncation ever happens.
     """
-    _check_modulus(p)
-    if not isinstance(a, int) or a < 0:
-        raise ParameterDomainError(f"digit must be a nonnegative integer, got {a!r}")
+    _check_int("modulus", p, 2, word=True)
+    _check_int("digit", a, 0)
     r, j = divmod(a, p)
     if j == 1:
         out = (r + 1) * (r + 2)
@@ -85,8 +74,8 @@ def z_transform(n: int, params: Params) -> int:
     leaf size are first split into leaf chunks, as in ``to_digits``, so a
     huge ``n`` costs a few big divisions, not one divmod per digit.
     """
-    if n < 0:
-        raise ParameterDomainError(f"value must be nonnegative, got {n}")
+    if n < 0:  # the hot path tests only the sign; the check words the error
+        _check_int("value", n, 0)
     k = params.k
     if n.bit_length() > _LEAF_BITS:
         # Exact because the digit 0 maps to 0: z(hi*k**w + lo) = z(hi) + z(lo).
@@ -136,10 +125,8 @@ def orbit(n: int, params: Params, max_steps: int = DEFAULT_MAX_STEPS) -> OrbitTr
     Raises BudgetExceededError carrying the partial trace if no repeat
     shows up within ``max_steps`` transform applications.
     """
-    if max_steps < 1:
-        raise ParameterDomainError(f"max_steps must be >= 1, got {max_steps}")
-    if n < 0:
-        raise ParameterDomainError(f"value must be nonnegative, got {n}")
+    _check_int("max_steps", max_steps, 1)
+    _check_int("value", n, 0)
     seen = {n: 0}
     values = [n]
     current = n
@@ -156,5 +143,5 @@ def orbit(n: int, params: Params, max_steps: int = DEFAULT_MAX_STEPS) -> OrbitTr
             )
         seen[current] = len(values) - 1
     raise BudgetExceededError(
-        f"no repeated value within {max_steps} steps starting from {n}", values
+        f"no repeated value within {max_steps} steps starting from {_echo(n)}", values
     )

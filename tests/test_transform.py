@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zorbit.dynamics import cycle_census, sweep, verify_theorem1, verify_theorem2, z_upper_bound
 from zorbit.errors import BudgetExceededError, DigitDomainError, ParameterDomainError
 from zorbit.kadic import MAX_BASE, KAdicDigits, digit_count, from_digits, to_digits
 from zorbit.transform import DEFAULT_MAX_STEPS, Params, digit_step, orbit, z_transform
@@ -60,6 +62,19 @@ NON_INTEGER_CALLS = {
     "from_digits digit": (lambda: from_digits([1.5], 10), DigitDomainError),
     "from_digits long": (lambda: from_digits([1] * 999 + [2.0], 10), DigitDomainError),
     "KAdicDigits digit": (lambda: KAdicDigits(10, (Fraction(3),)), DigitDomainError),
+    "orbit float start": (lambda: orbit(5.0, Params(10, 5)), ParameterDomainError),
+    "orbit str start": (lambda: orbit("5", Params(10, 5)), ParameterDomainError),
+    "orbit max_steps": (lambda: orbit(5, Params(10, 5), max_steps=2.5), ParameterDomainError),
+    "cycle_census extra_range": (lambda: cycle_census(Params(10, 5), 20.5), ParameterDomainError),
+    "verify_theorem1 n_max": (
+        lambda: verify_theorem1(Params(137, 11), 100.5),
+        ParameterDomainError,
+    ),
+    "verify_theorem2 n_max": (lambda: verify_theorem2(Params(10, 5), 100.5), ParameterDomainError),
+    "sweep n_max": (lambda: sweep((5, 6), (3, 4), 10.5), ParameterDomainError),
+    "sweep jobs": (lambda: sweep((5, 6), (3, 4), 10, jobs=1.5), ParameterDomainError),
+    "sweep k_range": (lambda: sweep((5.0, 6), (3, 4), 10), ParameterDomainError),
+    "z_upper_bound": (lambda: z_upper_bound(2.5, Params(10, 5)), ParameterDomainError),
 }
 
 
@@ -68,6 +83,51 @@ def test_non_integer_inputs_rejected(call):
     make, error = NON_INTEGER_CALLS[call]
     with pytest.raises(error):
         make()
+
+
+# A 5 000-digit argument is past the interpreter's default int/str cap of
+# 4 300 digits, so a message that echoes it in decimal would itself raise.
+HUGE = 10**5_000
+HUGE_VALUE_CALLS = {
+    "Params k": (lambda: Params(HUGE, 3), ParameterDomainError),
+    "Params p": (lambda: Params(10, HUGE), ParameterDomainError),
+    "to_digits base": (lambda: to_digits(5, HUGE), ParameterDomainError),
+    "to_digits value": (lambda: to_digits(-HUGE, 10), ParameterDomainError),
+    "to_digits Fraction": (lambda: to_digits(Fraction(HUGE, 3), 10), ParameterDomainError),
+    "digit_step modulus": (lambda: digit_step(3, HUGE), ParameterDomainError),
+    "from_digits digit": (lambda: from_digits([HUGE], 10), DigitDomainError),
+    "from_digits base": (
+        lambda: from_digits(KAdicDigits(10, (1,)), HUGE),
+        ParameterDomainError,
+    ),
+    "z_transform start": (lambda: z_transform(-HUGE, Params(10, 5)), ParameterDomainError),
+    "orbit start": (lambda: orbit(-HUGE, Params(10, 5)), ParameterDomainError),
+    "orbit budget": (lambda: orbit(HUGE, Params(10, 5), max_steps=1), BudgetExceededError),
+    "verify_theorem1 n_max": (
+        lambda: verify_theorem1(Params(137, 11), -HUGE),
+        ParameterDomainError,
+    ),
+}
+
+
+@pytest.fixture
+def default_digit_cap():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit cap")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4_300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("call", sorted(HUGE_VALUE_CALLS))
+def test_huge_values_get_typed_errors_with_short_messages(call, default_digit_cap):
+    make, error = HUGE_VALUE_CALLS[call]
+    with pytest.raises(error) as caught:
+        make()
+    assert len(str(caught.value).encode()) < 200
 
 
 def test_bools_are_integers():
