@@ -9,12 +9,13 @@ parameter sweeps) reduces to finite, exhaustively checked computation
 inside the box.
 
 One engine serves them all: ``_walk``, keyed by the digit map alone,
-resolves the box once, recording each node's cycle and its depth (steps to
-that cycle), then walks each start above the box down into it once,
-counting basins and the longest transient in the same walk.  ``_census``
-feeds it ``digit_step`` and ``absorbing_bound`` and picks the Theorem 1
-witness by ``classify_cycle``; ``cycle_census``, ``fixed_points``, both
-verifiers and ``sweep`` all read their answers from it.
+resolves the box once, row by row, pulling most nodes' cycle and depth
+(steps to that cycle) from their images ``z(c*k + a) = z(c) + digit(a)``,
+then walks each start above the box down into it once, counting basins and
+the longest transient in the same walk.  ``_census`` feeds it ``digit_step``
+and ``absorbing_bound`` and picks the Theorem 1 witness by
+``classify_cycle``; ``cycle_census``, ``fixed_points``, both verifiers and
+``sweep`` all read their answers from it.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
+from heapq import heappop, heappush
 from itertools import islice
 
-from .errors import AbsorptionError, ParameterDomainError, PreconditionError, _check_int
+from .errors import AbsorptionError, ParameterDomainError, PreconditionError, _check_int, _echo
 from .hypothesis import HypothesisReport, check_a, check_all
-from .transform import OrbitTrace, Params, digit_step, orbit
+from .transform import OrbitTrace, Params, _check_params, digit_step, orbit
 
 LABEL_UNIVERSAL = "universal_2cycle"
 LABEL_FIXED_POINT = "fixed_point"
@@ -42,12 +44,15 @@ THEOREM1_NOT_CHECKED = "not_checked"
 THEOREM1_SKIPPED = "skipped"
 THEOREM1_ERROR = "error"
 
+_BLOCK = 4096  # box nodes resolved at once: the block's lists stay small beside its arrays
+
 
 def max_digit_step(params: Params) -> int:
     """Largest value the per-digit map takes on any single base-k digit.
 
     Equals (t+1)*(t+2), attained at the digit t*p + 1 (always < k).
     """
+    _check_params(params)
     return (params.t + 1) * (params.t + 2)
 
 
@@ -71,8 +76,8 @@ def absorbing_bound(params: Params) -> int:
     m*S <= B < n, and an n with m > M digits to at most m*S < k**(m-1) <= n.
     When no M exists, 2*S < k, so B = k - 1 holds every one-digit image.
     """
-    k = params.k
     step_max = max_digit_step(params)
+    k = params.k
     m, power = 1, k  # power = k**m; the loop stops with m = M, or 1 if no M
     while power <= (m + 1) * step_max:
         m += 1
@@ -153,18 +158,23 @@ def _walk(
     the same order; and the longest transient in [1, n_max] (default bound).
 
     ``digit`` is any nonnegative map on 0..k-1; ``bound`` must be absorbing:
-    [0, bound] maps into itself and every n above it maps below n.  While the
-    box is resolved, ``cycle_id`` holds -1 for unseen nodes and -2 for nodes
-    on the walk in progress, so a walk that meets its own path has closed a
-    new cycle; then it indexes ``found`` at the cycle n ends in, and
-    ``depth[n]`` counts the steps n takes to enter it.  Walks begin in
-    increasing order, so the one closing a cycle begins at its smallest start.
-    Each start above ``bound`` is descended once, checking strict descent at
-    every step: a broken certificate raises AbsorptionError, not a wrong census.
+    [0, bound] maps into itself and every n above it maps below n.  The box
+    is resolved in increasing blocks, each a row [c*k, c*k + k) cut to
+    ``_BLOCK`` nodes, whose images are z(c) + digit(a) (0 maps to the empty
+    sum 0).  ``cycle_id`` holds -1 for unresolved nodes and -2 for nodes on the
+    walk in progress, so a walk that meets its own path has closed a new cycle;
+    then it indexes ``found`` at the cycle n ends in, and ``depth[n]`` counts
+    the steps n takes to enter it.  Only a node whose image is unresolved at its
+    turn starts a walk, in increasing order, so the walk closing a cycle begins
+    at its smallest start; the block then pulls the rest from its images, and
+    resets its cycle members' depth to 0.  Images are checked against the box,
+    and each start above ``bound`` is descended once, checking strict descent
+    at every step: a broken certificate raises AbsorptionError.
     """
     size = bound + 1  # allocate first: a box past the address space fails at once
-    cycle_id = array("l", [-1]) * size
-    depth = array("l", [0]) * size
+    typecode = "i" if bound < 2**31 - 1 else "q"
+    cycle_id = array(typecode, [-1]) * size
+    depth = array(typecode, [0]) * size
     table = tuple(map(digit, range(k)))
 
     def step(n: int, _table=table, _k=k) -> int:
@@ -174,33 +184,47 @@ def _walk(
             total += _table[a]
         return total
 
+    left_box = f"step left the certified box [0, {bound}] from"
     found: list[tuple[tuple[int, ...], int]] = []
-    for start in range(size):
-        if cycle_id[start] != -1:
-            continue
-        path: list[int] = []
-        current = start
-        while cycle_id[current] == -1:
-            cycle_id[current] = -2
-            path.append(current)
-            current = step(current)
-            if current > bound:
-                raise AbsorptionError(
-                    f"step left the certified box [0, {bound}] from {path[-1]}"
-                )
-        cid = cycle_id[current]
-        if cid == -2:
-            entry = path.index(current)
-            cid = len(found)
-            found.append((_canonical_rotation(path[entry:]), start))
-            for v in path[entry:]:
-                cycle_id[v] = cid
-            del path[entry:]
-        steps = depth[current]
-        for v in reversed(path):
-            steps += 1
-            depth[v] = steps
-            cycle_id[v] = cid
+    members: list[int] = []  # a heap of the cycle members in blocks not yet pulled
+    for row in range(0, size, k):
+        high = step(row // k)
+        for lo in range(row, min(row + k, size), _BLOCK):
+            hi = min(lo + _BLOCK, row + k, size)
+            images = [high + d for d in table[lo - row : hi - row]]
+            if not lo:
+                images[0] = 0  # the empty digit sum, whatever digit(0) is
+            if max(images) > bound:
+                raise AbsorptionError(f"{left_box} {lo + images.index(max(images))}")
+            for start, image in zip(range(lo, hi), images):
+                if image < lo or cycle_id[image] != -1 or cycle_id[start] != -1:
+                    continue  # resolved already, or pulled below
+                path: list[int] = []
+                current = start
+                while cycle_id[current] == -1:
+                    cycle_id[current] = -2
+                    path.append(current)
+                    current = step(current)
+                    if current > bound:
+                        raise AbsorptionError(f"{left_box} {path[-1]}")
+                cid = cycle_id[current]
+                if cid == -2:
+                    entry = path.index(current)
+                    cid = len(found)
+                    found.append((_canonical_rotation(path[entry:]), start))
+                    for v in path[entry:]:
+                        cycle_id[v] = cid
+                        heappush(members, v)
+                    del path[entry:]
+                steps = depth[current]
+                for v in reversed(path):
+                    steps += 1
+                    depth[v] = steps
+                    cycle_id[v] = cid
+            cycle_id[lo:hi] = array(typecode, [cycle_id[image] for image in images])
+            depth[lo:hi] = array(typecode, [depth[image] + 1 for image in images])
+            while members and members[0] < hi:
+                depth[heappop(members)] = 0
 
     top = bound if n_max is None else n_max
     counts = [0] * len(found)
@@ -433,11 +457,12 @@ def sweep(
     back in (k, p) lexicographic order regardless of ``jobs``.  At most
     ``min(jobs, cells, CPU count)`` worker processes start.
     """
-    k_lo, k_hi = k_range
-    p_lo, p_hi = p_range
     for name, bounds in (("k_range", k_range), ("p_range", p_range)):
+        if not isinstance(bounds, tuple | list) or len(bounds) != 2:
+            raise ParameterDomainError(f"{name} must be a (lo, hi) pair, got {_echo(bounds)}")
         for bound in bounds:  # no lower bound: k < 3 and p < 2 become skipped rows
             _check_int(f"{name} bound", bound)
+    (k_lo, k_hi), (p_lo, p_hi) = k_range, p_range
     if k_lo > k_hi or p_lo > p_hi:
         raise ParameterDomainError("ranges must satisfy lo <= hi")
     _check_int("n_max", n_max, 1)

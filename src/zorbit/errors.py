@@ -2,13 +2,15 @@
 
 ``_check_int`` checks every integer argument.  Every message that shows a
 caller's value shows it through ``_echo``, which gives a long int by its bit
-length, so no message trips the interpreter's 4 300-digit int/str cap.
+length, so no message trips the interpreter's 4 300-digit int/str cap, and
+clips any other value's ``repr``, so no message grows with its argument.
 """
 
 from __future__ import annotations
 
 MAX_BASE = 2**32
 _ECHO_BITS = 256  # ints of up to 77 decimal digits are echoed whole
+_ECHO_CHARS = 80  # a longer repr is clipped to this many characters
 
 
 class ZorbitError(Exception):
@@ -61,9 +63,10 @@ def _echo(value) -> str:
     if isinstance(value, int) and value.bit_length() > _ECHO_BITS:
         return f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit int"
     try:
-        return repr(value)
+        text = repr(value)
     except ValueError:  # a Fraction past the digit cap, say
         return f"a {type(value).__name__}"
+    return text if len(text) <= _ECHO_CHARS else text[: _ECHO_CHARS - 3] + "..."
 
 
 def _check_int(name: str, value, low: int | None = None, *, word: bool = False) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .transform import Params
+from .transform import Params, _check_params
 
 CONGRUENCE = "congruence"
 EQUALITY = "equality"
@@ -25,6 +25,7 @@ def _q_limit(k: int) -> int:
 
 def check_a(params: Params) -> bool:
     """Window condition: p >= 3 and 2p - 1 <= k <= 3p**2."""
+    _check_params(params)
     k, p = params.k, params.p
     return p >= 3 and 2 * p - 1 <= k <= 3 * p * p
 
@@ -35,6 +36,7 @@ def check_b(params: Params) -> tuple[bool, tuple[int, ...]]:
     Returns (verdict, violating q values); residues are compared on the
     nonnegative canonical representative p - 1.
     """
+    _check_params(params)
     k, p = params.k, params.p
     bad = tuple(q for q in range(_q_limit(k) + 1) if (q + 1) * (q + 2) % p == p - 1)
     return not bad, bad
@@ -48,6 +50,7 @@ def check_c(params: Params) -> tuple[bool, tuple[tuple[int, str], ...]]:
     evaluated over the integers (a negative right side simply never
     matches).  Holds iff nothing is recorded.
     """
+    _check_params(params)
     k, p = params.k, params.p
     k_residue = k % p
     found: list[tuple[int, str]] = []

@@ -87,6 +87,14 @@ class KAdicDigits:
             end -= 1
         object.__setattr__(self, "digits", digits[:end])
 
+    @classmethod
+    def _trusted(cls, base: int, digits: tuple[int, ...]) -> KAdicDigits:
+        """Wrap digits already canonical for ``base``, skipping ``__post_init__``."""
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "base", base)
+        object.__setattr__(vector, "digits", digits)
+        return vector
+
     def __len__(self) -> int:
         return len(self.digits)
 
@@ -112,7 +120,7 @@ def to_digits(n: int, k: int) -> KAdicDigits:
             chunk, d = divmod(chunk, k)
             digits.append(d)
         digits += [0] * (end - len(digits))
-    return KAdicDigits(base=k, digits=tuple(digits))
+    return KAdicDigits._trusted(k, tuple(digits))
 
 
 def from_digits(digits: Union[KAdicDigits, Sequence[int]], base: int | None = None) -> int:

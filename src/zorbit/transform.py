@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceededError, _check_int, _echo
+from .errors import BudgetExceededError, ParameterDomainError, _check_int, _echo
 from .kadic import _LEAF_BITS, _leaf_chunks
 
 DEFAULT_MAX_STEPS = 10_000
@@ -39,6 +39,12 @@ class Params:
             t, s = t - 1, self.p
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "s", s)
+
+
+def _check_params(params) -> None:
+    """Raise ParameterDomainError unless ``params`` is a Params."""
+    if not isinstance(params, Params):
+        raise ParameterDomainError(f"params must be a Params, got {_echo(params)}")
 
 
 def digit_step(a: int, p: int) -> int:
@@ -74,13 +80,16 @@ def z_transform(n: int, params: Params) -> int:
     leaf size are first split into leaf chunks, as in ``to_digits``, so a
     huge ``n`` costs a few big divisions, not one divmod per digit.
     """
-    if n < 0:  # the hot path tests only the sign; the check words the error
+    if n < 0:  # the hot path tests only the sign; the checks word the errors
         _check_int("value", n, 0)
-    k = params.k
+    try:
+        k, p = params.k, params.p
+    except AttributeError:
+        _check_params(params)
+        raise
     if n.bit_length() > _LEAF_BITS:
         # Exact because the digit 0 maps to 0: z(hi*k**w + lo) = z(hi) + z(lo).
         return sum(z_transform(chunk, params) for chunk, _ in _leaf_chunks(n, k))
-    p = params.p
     total = 0
     while n:
         n, a = divmod(n, k)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from itertools import count
 
@@ -32,7 +33,7 @@ from zorbit.dynamics import (
     verify_theorem2,
     z_upper_bound,
 )
-from zorbit.errors import ParameterDomainError, PreconditionError
+from zorbit.errors import AbsorptionError, ParameterDomainError, PreconditionError
 from zorbit.hypothesis import check_all
 from zorbit.kadic import from_digits
 from zorbit.transform import Params, digit_step, orbit, z_transform
@@ -176,7 +177,13 @@ def test_census_invariants(k, p):
             assert z_transform(a, params) == b
 
 
-@pytest.mark.parametrize("k,p", SMALL_PARAMS)
+# Boxes of many rows (B = 20 200, k = 300), of a few rows (B = 364, k = 40)
+# and of one row cut into two blocks (B = 4 999, k = 5 000); (3, 2) in
+# SMALL_PARAMS has a partial last row (B = 4, k = 3).
+ROW_PARAMS = [(300, 3), (40, 3), (5000, 200)]
+
+
+@pytest.mark.parametrize("k,p", SMALL_PARAMS + ROW_PARAMS)
 def test_census_matches_independent_orbits(k, p):
     census = cycle_census(Params(k, p))
     expected = cycles_by_independent_orbits(k, p, census.absorbing_bound)
@@ -267,6 +274,36 @@ def test_walk_finds_published_digit_power_cycles(exponent):
     if exponent == 2:
         # the happy numbers <= 243 (OEIS A007770)
         assert cycles[1].basin_size == 39
+
+
+@pytest.mark.parametrize(
+    "k,digit,bound,message",
+    [
+        # the block check: z(9) = 81 lies outside [0, 50]
+        (10, lambda a: a * a, 50, "step left the certified box [0, 50] from 9"),
+        # the walk's check: 1 -> 55 passes, but z(55) = 60 lies outside [0, 59]
+        (10, lambda a: {1: 55, 5: 30}.get(a, 0), 59, "step left the certified box [0, 59] from 55"),
+        # the descent check: [0, 9] maps into itself, but z(11) = 18 > 11
+        (10, lambda a: 9 if a else 0, 9, "descent violated above certified bound 9"),
+    ],
+)
+def test_walk_raises_on_a_broken_certificate(k, digit, bound, message):
+    with pytest.raises(AbsorptionError, match=re.escape(message)):
+        _walk(k, digit, bound, 20)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_walk_does_not_depend_on_the_block_size(monkeypatch, block):
+    # blocks that cut every row, on boxes of many rows
+    rng = random.Random(block)
+    cases = []
+    for _ in range(20):
+        k = rng.randrange(3, 9)
+        table = tuple(rng.randrange(k * k + 1) for _ in range(k))
+        cases.append((k, table.__getitem__, k**4, rng.choice([None, k**4 + 500])))
+    expected = [_walk(*case) for case in cases]
+    monkeypatch.setattr("zorbit.dynamics._BLOCK", block)
+    assert [_walk(*case) for case in cases] == expected
 
 
 @st.composite
@@ -575,3 +612,9 @@ def test_sweep_rejects_bad_arguments():
         sweep((5, 5), (3, 3), n_max=0)
     with pytest.raises(ParameterDomainError):
         sweep((5, 5), (3, 3), n_max=10, jobs=0)
+    with pytest.raises(ParameterDomainError, match="k_range must be a"):
+        sweep((5, 6, 7), (3, 4), n_max=10)
+    with pytest.raises(ParameterDomainError, match="k_range must be a"):
+        sweep(5, (3, 4), n_max=10)
+    with pytest.raises(ParameterDomainError, match="p_range must be a"):
+        sweep((5, 6), None, n_max=10)

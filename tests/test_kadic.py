@@ -100,6 +100,18 @@ def test_kadic_digits_validates_and_trims():
     assert vector[1] == 1
     with pytest.raises(DigitDomainError):
         KAdicDigits(base=5, digits=(6,))
+    with pytest.raises(DigitDomainError):
+        KAdicDigits(10, (10,))
+
+
+@pytest.mark.parametrize(
+    "n,k", [(0, 7), (42, 10), (10**400, 10), (7**2000 + 1, 7), (10**700, 2**32)]
+)
+def test_to_digits_builds_the_vector_the_checked_constructor_builds(n, k):
+    # to_digits skips the constructor's per-digit check and trim
+    vector = to_digits(n, k)
+    assert vector == KAdicDigits(base=k, digits=vector.digits)
+    assert hash(vector) == hash(KAdicDigits(base=k, digits=vector.digits))
 
 
 def test_kadic_digits_trims_a_long_zero_tail():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 import sys
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zorbit
 from zorbit.dynamics import cycle_census, sweep, verify_theorem1, verify_theorem2, z_upper_bound
 from zorbit.errors import BudgetExceededError, DigitDomainError, ParameterDomainError
 from zorbit.kadic import MAX_BASE, KAdicDigits, digit_count, from_digits, to_digits
@@ -107,6 +109,7 @@ HUGE_VALUE_CALLS = {
         lambda: verify_theorem1(Params(137, 11), -HUGE),
         ParameterDomainError,
     ),
+    "orbit long str start": (lambda: orbit("x" * 100_000, Params(10, 5)), ParameterDomainError),
 }
 
 
@@ -128,6 +131,35 @@ def test_huge_values_get_typed_errors_with_short_messages(call, default_digit_ca
     with pytest.raises(error) as caught:
         make()
     assert len(str(caught.value).encode()) < 200
+
+
+# Every public function taking ``params`` rejects a value that is not a
+# Params with the typed error, not the AttributeError of a missing field.
+TAKES_PARAMS = sorted(
+    name
+    for name in zorbit.__all__
+    if inspect.isfunction(getattr(zorbit, name))
+    and "params" in inspect.signature(getattr(zorbit, name)).parameters
+)
+OTHER_ARGUMENTS = {"n": 5, "m": 3, "n_max": 10}
+
+
+def test_takes_params_lists_every_layer():
+    layers = {"check_all", "cycle_census", "orbit", "verify_lemma2", "z_transform"}
+    assert layers <= set(TAKES_PARAMS)
+
+
+@pytest.mark.parametrize("name", TAKES_PARAMS)
+@pytest.mark.parametrize("params", [None, (10, 5)])
+def test_non_params_rejected(name, params):
+    function = getattr(zorbit, name)
+    required = [
+        arg
+        for arg, spec in inspect.signature(function).parameters.items()
+        if arg != "params" and spec.default is spec.empty
+    ]
+    with pytest.raises(ParameterDomainError, match="params must be a Params"):
+        function(params=params, **{arg: OTHER_ARGUMENTS[arg] for arg in required})
 
 
 def test_bools_are_integers():
