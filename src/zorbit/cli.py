@@ -135,9 +135,9 @@ def _int_range(text: str) -> tuple[int, int]:
 
 
 def _load_config(path: str) -> dict[str, str]:
-    """Parse a flat key = value file (# comments, optional quotes)."""
+    """Parse a flat key = value file (# comments, optional quotes, optional BOM)."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
@@ -251,6 +251,22 @@ def _joined(values, sep: str = ",") -> str:
 def _braced(values) -> str:
     """A cycle spelled as the set ``{a, b}``."""
     return "{" + _joined(values, ", ") + "}"
+
+
+def _probe_output(out_path: str | None) -> None:
+    """Fail before any work if ``out_path`` cannot be opened for writing.
+
+    Appending changes no existing file, and a file the probe creates is removed.
+    """
+    if not out_path:
+        return
+    existed = os.path.lexists(out_path)
+    try:
+        open(out_path, "a", encoding="utf-8").close()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise UsageError(f"cannot write {out_path}: {exc}") from exc
+    if not existed:
+        os.remove(out_path)
 
 
 def _write_output(doc: str, out_path: str | None) -> None:
@@ -691,8 +707,10 @@ def _main(argv: list[str] | None) -> int:
     try:
         config = _load_config(args.config) if args.config else {}
         fmt = _setting(args, config, "format", _format, DEFAULT_FORMAT)
+        out_path = getattr(args, "out", None)
+        _probe_output(out_path)
         result = args.handler(args, config)
-        _write_output(_render(result, fmt, args.timestamps), getattr(args, "out", None))
+        _write_output(_render(result, fmt, args.timestamps), out_path)
         return result.code
     except (UsageError, ParameterDomainError) as exc:
         code, message = EXIT_USAGE, f"error: {exc}"

@@ -165,11 +165,12 @@ def _walk(
     walk in progress, so a walk that meets its own path has closed a new cycle;
     then it indexes ``found`` at the cycle n ends in, and ``depth[n]`` counts
     the steps n takes to enter it.  Only a node whose image is unresolved at its
-    turn starts a walk, in increasing order, so the walk closing a cycle begins
-    at its smallest start; the block then pulls the rest from its images, and
-    resets its cycle members' depth to 0.  Images are checked against the box,
-    and each start above ``bound`` is descended once, checking strict descent
-    at every step: a broken certificate raises AbsorptionError.
+    turn starts a walk; the block then pulls the rest from its images, and
+    resets its cycle members' depth to 0.  Every cycle lies in the box, so its
+    smallest start is the first node of ``cycle_id`` holding its index.  Images
+    are checked against the box, and each start above ``bound`` is descended
+    once, checking strict descent at every step: a broken certificate raises
+    AbsorptionError.
     """
     size = bound + 1  # allocate first: a box past the address space fails at once
     typecode = "i" if bound < 2**31 - 1 else "q"
@@ -185,7 +186,7 @@ def _walk(
         return total
 
     left_box = f"step left the certified box [0, {bound}] from"
-    found: list[tuple[tuple[int, ...], int]] = []
+    found: list[tuple[int, ...]] = []
     members: list[int] = []  # a heap of the cycle members in blocks not yet pulled
     for row in range(0, size, k):
         high = step(row // k)
@@ -211,7 +212,7 @@ def _walk(
                 if cid == -2:
                     entry = path.index(current)
                     cid = len(found)
-                    found.append((_canonical_rotation(path[entry:]), start))
+                    found.append(_canonical_rotation(path[entry:]))
                     for v in path[entry:]:
                         cycle_id[v] = cid
                         heappush(members, v)
@@ -248,9 +249,9 @@ def _walk(
             longest = taken
 
     # Cycles are disjoint, so ordering by values orders by minimum element.
-    ordered = sorted(zip(found, counts))
-    cycles = tuple(Cycle(values=values, basin_size=count) for (values, _), count in ordered)
-    return cycles, tuple(first for (_, first), _ in ordered), longest
+    ordered = sorted(zip(found, counts, map(cycle_id.index, range(len(found)))))
+    cycles = tuple(Cycle(values=values, basin_size=count) for values, count, _ in ordered)
+    return cycles, tuple(first for _, _, first in ordered), longest
 
 
 def fixed_points(params: Params) -> list[int]:

@@ -127,22 +127,20 @@ def from_digits(digits: Union[KAdicDigits, Sequence[int]], base: int | None = No
     """Recompose the integer sum(digits[i] * base**i) exactly.
 
     Accepts either a :class:`KAdicDigits` (whose own base is used) or a raw
-    little-endian digit sequence together with ``base``.  Raw sequences may
-    carry leading (most-significant) zeros; each digit must lie in
-    [0, base).
+    little-endian digit sequence together with ``base``, which goes through
+    ``KAdicDigits`` and so may carry leading (most-significant) zeros but
+    no digit outside [0, base).
     """
     if isinstance(digits, KAdicDigits):
         if base is not None and base != digits.base:
             raise ParameterDomainError(
                 f"conflicting bases: vector carries {digits.base}, argument says {_echo(base)}"
             )
-        base = digits.base
-        seq: Sequence[int] = digits.digits
+    elif base is None:
+        raise ParameterDomainError("base is required with a raw digit sequence")
     else:
-        if base is None:
-            raise ParameterDomainError("base is required with a raw digit sequence")
-        seq = tuple(digits)
-    _check_int("base", base, 2, word=True)
+        digits = KAdicDigits(base, digits)
+    base, seq = digits.base, digits.digits
     # Leaf blocks of at most _LEAF_BITS bits by Horner's rule, then
     # neighbours combined pairwise as lo + hi * base**width, squaring the
     # power per level: one Horner pass over a long value is quadratic.
@@ -163,8 +161,6 @@ def from_digits(digits: Union[KAdicDigits, Sequence[int]], base: int | None = No
 def _horner(seq: Sequence[int], base: int) -> int:
     value = 0
     for d in reversed(seq):
-        if not (isinstance(d, int) and 0 <= d < base):
-            raise DigitDomainError(f"digit {_echo(d)} is not an integer in [0, {base})")
         value = value * base + d
     return value
 

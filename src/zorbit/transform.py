@@ -52,22 +52,15 @@ def digit_step(a: int, p: int) -> int:
 
     Total for every a >= 0 (not only a < k); with a = r*p + j:
     returns (r+1)*(r+2) if j == 1, r if j == 0, and r + 1 otherwise.
-    The equivalent quotient forms divide exactly; the assertions guard
-    that no truncation ever happens.
     """
     _check_int("modulus", p, 2, word=True)
     _check_int("digit", a, 0)
     r, j = divmod(a, p)
     if j == 1:
-        out = (r + 1) * (r + 2)
-        assert (a + p - 1) * (a + 2 * p - 1) == out * p * p
-        return out
+        return (r + 1) * (r + 2)
     if j == 0:
-        assert a == r * p
         return r
-    out = r + 1
-    assert a + p - j == out * p
-    return out
+    return r + 1
 
 
 def z_transform(n: int, params: Params) -> int:

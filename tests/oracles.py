@@ -12,7 +12,11 @@ import random
 
 
 def digit_map_by_formula(a: int, p: int) -> int:
-    """Per-digit map via the literal quotient formulas with exactness checks."""
+    """Per-digit map via the literal quotient formulas with exactness checks.
+
+    ``digit_step`` takes the residue route and checks no quotient form itself;
+    the tests compare it with this quotient route.
+    """
     j = a % p
     if j == 1:
         numerator = (a + p - 1) * (a + 2 * p - 1)

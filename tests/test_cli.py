@@ -185,6 +185,13 @@ def test_main_in_process_accepts_long_start_and_restores_digit_limit():
     assert json.loads(stdout.getvalue())["payload"]["trace"][0]["value"] == start
 
 
+def test_main_runs_where_the_digit_limit_does_not_exist(monkeypatch, capsys):
+    # CPython 3.10.0-3.10.6 have no set_int_max_str_digits (and no cap to lift)
+    monkeypatch.delattr(sys, "set_int_max_str_digits")
+    assert cli.main(["orbit", "123789", "--k", "137", "--p", "11", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["trace"][0]["value"] == "123789"
+
+
 # -- check -------------------------------------------------------------------
 
 
@@ -446,6 +453,26 @@ def test_sweep_unwritable_out_exit_2(tmp_path):
     assert f"cannot write {out}:" in result.stderr
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory", "below-a-file", "nul-byte"])
+def test_sweep_unwritable_out_fails_before_any_cell(tmp_path, monkeypatch, capsys, where):
+    def never(*_, **__):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr("zorbit.cli.sweep", never)
+    (tmp_path / "file").write_text("kept\n")
+    out = {
+        "missing-dir": tmp_path / "missing" / "x.json",
+        "directory": tmp_path,
+        "below-a-file": tmp_path / "file" / "x.json",
+        "nul-byte": tmp_path / "x\0.json",  # open raises ValueError, not OSError
+    }[where]
+    argv = ["sweep", "--k-range", "5:40", "--p-range", "3:8", "--n-max", "10000"]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"zorbit: error: cannot write {tmp_path}")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
 # -- usage errors ------------------------------------------------------------
 
 
@@ -648,6 +675,14 @@ def test_config_and_env_values_get_their_flags_check(tmp_path, argv, config_text
     (line,) = result.stderr.splitlines()
     assert line.startswith("zorbit: error: ")
     assert name in line
+
+
+def test_config_with_a_utf8_byte_order_mark(tmp_path):
+    config = tmp_path / "bom.cfg"
+    config.write_bytes(b"\xef\xbb\xbfk = 10\np = 5\n")
+    result = run_cli("census", "--config", str(config))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == run_cli("census", "--k", "10", "--p", "5").stdout
 
 
 def test_config_errors_exit_2(tmp_path):

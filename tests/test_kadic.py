@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +79,25 @@ def test_from_digits_rejects_out_of_range_digit():
         from_digits([5], 5)
     with pytest.raises(DigitDomainError):
         from_digits([-1], 5)
+
+
+@pytest.mark.parametrize(
+    "digits, base, error",
+    [
+        ([3, 7, 1], 5, DigitDomainError),
+        ([-1], 5, DigitDomainError),
+        ([1, 2.0], 10, DigitDomainError),
+        ([1, "1"], 10, DigitDomainError),
+        ([1, 2], 1, ParameterDomainError),
+        ([1], MAX_BASE + 1, ParameterDomainError),
+        ([1], 10.0, ParameterDomainError),
+    ],
+)
+def test_from_digits_raw_sequence_fails_as_the_vector_does(digits, base, error):
+    with pytest.raises(error) as expected:
+        KAdicDigits(base, digits)
+    with pytest.raises(error, match=f"^{re.escape(str(expected.value))}$"):
+        from_digits(digits, base)
 
 
 def test_from_digits_requires_base_for_raw_sequences():

@@ -1,7 +1,8 @@
-"""No line of the package source is longer than 100 characters."""
+"""Source rules: no line over 100 characters; one home for the digit check."""
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 LIMIT = 100
@@ -18,3 +19,22 @@ def test_no_source_line_longer_than_limit():
         if len(line) > LIMIT
     ]
     assert not long_lines, "\n".join(long_lines)
+
+
+def test_digit_domain_error_is_raised_only_by_the_digit_vector():
+    def raises(tree: ast.AST) -> int:
+        return sum(
+            isinstance(node, ast.Raise) and "DigitDomainError(" in ast.unparse(node)
+            for node in ast.walk(tree)
+        )
+
+    trees = {
+        path.relative_to(SOURCE).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+        for path in SOURCE.rglob("*.py")
+    }
+    (vector,) = [
+        node
+        for node in trees["kadic.py"].body
+        if isinstance(node, ast.ClassDef) and node.name == "KAdicDigits"
+    ]
+    assert raises(vector) == sum(map(raises, trees.values())) == 1

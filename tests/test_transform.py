@@ -198,6 +198,13 @@ def test_digit_step_matches_quotient_formulas(a, p):
     assert digit_step(a, p) == digit_map_by_formula(a, p)
 
 
+def test_digit_step_matches_quotient_formulas_on_the_condition_a_window():
+    # every digit of every base 2p-1 <= k <= 3p**2 that condition (a) admits
+    for p in range(3, 41):
+        for a in range(3 * p * p + 1):
+            assert digit_step(a, p) == digit_map_by_formula(a, p), (a, p)
+
+
 @given(digits_any, moduli)
 @settings(max_examples=300, deadline=None)
 def test_exact_divisibility(a, p):
