@@ -197,7 +197,8 @@ class _Result:
 
     ``payload`` goes into the JSON envelope, ``columns``/``rows`` form the
     CSV table (led by ``schema_version, command, status`` unless
-    ``csv_prefix`` is off), and ``lines`` are the text rendering.
+    ``csv_prefix`` is off; rows are read from ``payload`` and each cell is
+    spelled by ``_cell``), and ``lines`` are the text rendering.
     """
 
     code: int
@@ -235,16 +236,28 @@ def _render(result: _Result, fmt: str, timestamps: bool) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows(rows)
+    writer.writerows([_cell(value) for value in row] for row in rows)
     return buffer.getvalue()
 
 
-def _bool_cell(flag: bool) -> str:
-    return "true" if flag else "false"
+def _cell(value) -> str:
+    """The one spelling of a CSV cell (and of a boolean in text): ``true`` or
+    ``false``, empty for None, a dict by its values, a list or tuple
+    comma-joined, or semicolon-joined when its items are lists or dicts."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        nested = any(isinstance(item, (list, tuple, dict)) for item in value)
+        return (";" if nested else ",").join(map(_cell, value))
+    return str(value)
 
 
-def _joined(values, sep: str = ",") -> str:
-    """A cycle (or digit list) spelled ``a,b`` or, with ``sep``, ``a -> b``."""
+def _joined(values, sep: str) -> str:
+    """A text rendering's cycle (or digit list), spelled ``a -> b`` or ``a, b``."""
     return sep.join(str(v) for v in values)
 
 
@@ -373,11 +386,7 @@ def _cmd_orbit(args: argparse.Namespace, config: dict[str, str]) -> _Result:
         lines.append(f"cycle length: {cycle_len}")
         lines.append("cycle: " + _joined(cycle, " -> "))
         lines.append(f"status: {STATUS_OK}")
-    # csv writes None as an empty cell
-    rows = [
-        [s["step"], s["value"], _joined(s["digits"]), _joined(s["f_values"]), preperiod, cycle_len]
-        for s in steps
-    ]
+    rows = [[*step.values(), preperiod, cycle_len] for step in steps]
     columns = ["step", "value", "digits", "f_values", "preperiod_length", "cycle_length"]
     return _Result(code, "orbit", echo, payload, columns, rows, lines)
 
@@ -389,31 +398,19 @@ def _cmd_orbit(args: argparse.Namespace, config: dict[str, str]) -> _Result:
 def _cmd_check(args: argparse.Namespace, config: dict[str, str]) -> _Result:
     params = _params_from(args, config)
     report = check_all(params)
+    payload = _hypothesis_payload(report)
     verdict = "satisfied" if report.satisfied else "not satisfied"
     b_wit = _joined(report.b_violations, ", ") or "-"
     c_wit = "; ".join(f"q={q} ({clause})" for q, clause in report.c_violations) or "-"
-    columns = ["k", "p", "a_holds", "b_holds", "b_violations"]
-    columns += ["c_holds", "c_violations", "satisfied"]
-    row = [
-        params.k,
-        params.p,
-        _bool_cell(report.a_holds),
-        _bool_cell(report.b_holds),
-        _joined(report.b_violations),
-        _bool_cell(report.c_holds),
-        ";".join(f"{q},{clause}" for q, clause in report.c_violations),
-        _bool_cell(report.satisfied),
-    ]
     lines = [
         f"check k={params.k} p={params.p}: {verdict}",
-        f"  (a) holds: {_bool_cell(report.a_holds)}",
-        f"  (b) holds: {_bool_cell(report.b_holds)}  violations: {b_wit}",
-        f"  (c) holds: {_bool_cell(report.c_holds)}  violations: {c_wit}",
+        f"  (a) holds: {_cell(report.a_holds)}",
+        f"  (b) holds: {_cell(report.b_holds)}  violations: {b_wit}",
+        f"  (c) holds: {_cell(report.c_holds)}  violations: {c_wit}",
     ]
     code = EXIT_OK if report.satisfied else EXIT_VERIFICATION_FAILED
-    return _Result(
-        code, "check", _params_echo(params), _hypothesis_payload(report), columns, [row], lines
-    )
+    row = [params.k, params.p, *payload.values()]
+    return _Result(code, "check", _params_echo(params), payload, ["k", "p", *payload], [row], lines)
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +423,12 @@ def _cmd_census(args: argparse.Namespace, config: dict[str, str]) -> _Result:
     census = cycle_census(params, extra_range=n_max)
     echo = _params_echo(params)
     echo["n_max"] = None if n_max is None else str(n_max)
-    lo, hi = census.scanned_range
+    payload = _census_payload(census)
+    lo, hi = payload["scanned_range"]
     columns = ["k", "p", "absorbing_bound", "scanned_lo", "scanned_hi"]
     columns += ["cycle", "length", "basin_size", "degenerate"]
-    lead = [params.k, params.p, census.absorbing_bound, lo, hi]
-    rows = [
-        [*lead, _joined(c.values), c.length, c.basin_size, _bool_cell(c.degenerate)]
-        for c in census.cycles
-    ]
+    lead = [params.k, params.p, payload["absorbing_bound"], lo, hi]
+    rows = [[*lead, *cycle.values()] for cycle in payload["cycles"]]
     lines = [
         f"census k={params.k} p={params.p}",
         f"  absorbing bound: {census.absorbing_bound}",
@@ -445,7 +440,7 @@ def _cmd_census(args: argparse.Namespace, config: dict[str, str]) -> _Result:
             f"  cycle length={cycle.length} basin={cycle.basin_size}: "
             f"{_joined(cycle.values, ' -> ')}{tag}"
         )
-    return _Result(EXIT_OK, "census", echo, _census_payload(census), columns, rows, lines)
+    return _Result(EXIT_OK, "census", echo, payload, columns, rows, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -461,24 +456,19 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> _Result:
     try:
         report = (verify_theorem1 if theorem == 1 else verify_theorem2)(params, n_max)
     except PreconditionError as exc:
+        payload = {"failed_conditions": list(exc.failed), "detail": str(exc)}
         lines = [
             f"verify theorem {theorem} k={params.k} p={params.p}: precondition failed",
             f"  failed conditions: {', '.join(f'({c})' for c in exc.failed)}",
         ]
-        return _Result(
-            EXIT_PRECONDITION,
-            "verify",
-            echo,
-            {"failed_conditions": list(exc.failed), "detail": str(exc)},
-            ["theorem", "k", "p", "failed_conditions"],
-            [[theorem, params.k, params.p, _joined(exc.failed)]],
-            lines,
-        )
+        columns = ["theorem", "k", "p", "failed_conditions"]
+        rows = [[theorem, params.k, params.p, payload["failed_conditions"]]]
+        return _Result(EXIT_PRECONDITION, "verify", echo, payload, columns, rows, lines)
     echo["n_max"] = str(n_max)
     passed = report.passed
     payload = {"theorem": theorem, "n_max": str(n_max)}
     columns = ["theorem", "k", "p", "n_max"]
-    lead = [theorem, params.k, params.p, n_max]
+    lead = [theorem, params.k, params.p, payload["n_max"]]
     lines = [
         f"verify theorem {theorem} k={params.k} p={params.p} n_max={n_max}: "
         + ("pass" if passed else "FAIL")
@@ -492,7 +482,7 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> _Result:
         payload["census"] = _census_payload(report.census)
         payload["counterexample"] = counter
         columns += ["passed", "counterexample_start"]
-        rows = [[*lead, _bool_cell(passed), "" if counter is None else counter["start"]]]
+        rows = [[*lead, payload["passed"], None if counter is None else counter["start"]]]
         lines.append(
             "  positive cycles found: "
             + "; ".join(_braced(c.values) for c in report.census.cycles if not c.degenerate)
@@ -511,13 +501,9 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> _Result:
             for entry in report.classification
         ]
         columns += ["cycle", "label", "basin_size"]
-        rows = [
-            [*lead, _joined(entry.cycle.values), entry.label, entry.cycle.basin_size]
-            for entry in report.classification
-        ]
+        rows = [[*lead, *entry.values()] for entry in payload["classification"]]
         lines.append(
-            "  all orbits terminated in a census cycle: "
-            + _bool_cell(report.all_orbits_terminated)
+            "  all orbits terminated in a census cycle: " + _cell(report.all_orbits_terminated)
         )
         for entry in report.classification:
             values = _joined(entry.cycle.values, " -> ")
@@ -569,45 +555,35 @@ def _cmd_sweep(args: argparse.Namespace, config: dict[str, str]) -> _Result:
         "n_max": str(n_max),
         "jobs": args.jobs,
     }
-    table, lines = [], []
+    payload = {"rows": [_sweep_row_payload(row) for row in rows]}
+    table = []
+    for cell in payload["rows"]:
+        hyp = cell["hypothesis"] or {}
+        cycles = cell["cycles"]
+        flat = {
+            **cell,
+            "hyp_a": hyp.get("a_holds"),
+            "hyp_b": hyp.get("b_holds"),
+            "hyp_c": hyp.get("c_holds"),
+            "cycles": None if cycles is None else [cycle["values"] for cycle in cycles],
+        }
+        table.append([flat[column] for column in SWEEP_CSV_COLUMNS])
+    lines = []
     for row in rows:
         if row.skip_reason or row.error:
-            table.append([row.k, row.p, "", "", "", "", "", "", row.theorem1_status, ""])
             why = f"skipped ({row.skip_reason})" if row.skip_reason else f"error ({row.error})"
             lines.append(f"k={row.k} p={row.p}: {why}")
             continue
         hyp = row.hypothesis
-        table.append(
-            [
-                row.k,
-                row.p,
-                _bool_cell(hyp.a_holds),
-                _bool_cell(hyp.b_holds),
-                _bool_cell(hyp.c_holds),
-                row.absorbing_bound,
-                row.num_cycles,
-                ";".join(_joined(c.values) for c in row.cycles),
-                row.theorem1_status,
-                row.max_transient,
-            ]
-        )
         cycles = "; ".join(_braced(c.values) for c in row.cycles)
         lines.append(
-            f"k={row.k} p={row.p}: hyp(a={_bool_cell(hyp.a_holds)} "
-            f"b={_bool_cell(hyp.b_holds)} c={_bool_cell(hyp.c_holds)}) "
+            f"k={row.k} p={row.p}: hyp(a={_cell(hyp.a_holds)} "
+            f"b={_cell(hyp.b_holds)} c={_cell(hyp.c_holds)}) "
             f"bound={row.absorbing_bound} cycles=[{cycles}] "
             f"theorem1={row.theorem1_status} max_transient={row.max_transient}"
         )
-    return _Result(
-        EXIT_OK if all_pass else EXIT_VERIFICATION_FAILED,
-        "sweep",
-        echo,
-        {"rows": [_sweep_row_payload(row) for row in rows]},
-        SWEEP_CSV_COLUMNS,
-        table,
-        lines,
-        csv_prefix=False,
-    )
+    code = EXIT_OK if all_pass else EXIT_VERIFICATION_FAILED
+    return _Result(code, "sweep", echo, payload, SWEEP_CSV_COLUMNS, table, lines, csv_prefix=False)
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,14 @@ class Lemma2Report:
         return self.peak < self.params.k**2
 
 
+def _require_a(params: Params) -> None:
+    """The precondition gate of the verifiers that need condition (a) alone."""
+    if not check_a(params):
+        raise PreconditionError(
+            f"condition (a) fails for k={params.k}, p={params.p}", failed=("a",)
+        )
+
+
 def verify_lemma2(params: Params) -> Lemma2Report:
     """Decide whether every value with m >= 3 digits shrinks below k**(m-1).
 
@@ -299,17 +307,19 @@ def verify_lemma2(params: Params) -> Lemma2Report:
     next the cap grows by (m+1)/m <= 2 < k, while k**(m-1) grows by k.
     Requires condition (a), under which the certificate always passes.
     """
-    if not check_a(params):
-        raise PreconditionError(
-            f"condition (a) does not hold for k={params.k}, p={params.p}",
-            failed=("a",),
-        )
+    _require_a(params)
     return Lemma2Report(params=params, peak=z_upper_bound(3, params))
 
 
 @dataclass(frozen=True)
 class Theorem1Report:
-    """Exhaustive desk-scale check that every positive orbit ends in {1, 2}."""
+    """Theorem 1's verdict: does the orbit of every n >= 1 end in {1, 2}?
+
+    ``passed`` decides every n >= 1, not only the starts up to ``n_max``:
+    every cycle lies in [0, absorbing_bound] and every orbit enters it.
+    ``counterexample`` is the orbit of the smallest positive start whose
+    cycle is not {1, 2}; ``n_max`` sets only the census's basin range.
+    """
 
     params: Params
     n_max: int
@@ -319,12 +329,14 @@ class Theorem1Report:
 
 
 def verify_theorem1(params: Params, n_max: int) -> Theorem1Report:
-    """Confirm every orbit started in [1, n_max] terminates in {1, 2}.
+    """Decide whether the orbit of every n >= 1 terminates in {1, 2}.
 
     Preconditions: all of (a), (b), (c) hold; otherwise raises
-    PreconditionError naming the failed conditions.  The census scan
-    actually covers [0, max(absorbing_bound, n_max)], which subsumes the
-    requested range.
+    PreconditionError naming the failed conditions.  Every cycle lies in
+    the box [0, absorbing_bound] and every orbit enters it, so resolving
+    the box decides every n >= 1, and the counterexample is the smallest
+    positive start with an offending cycle.  ``n_max`` sets only the
+    census range [0, max(absorbing_bound, n_max)] over which basins count.
     """
     _check_int("n_max", n_max, 1)
     report = check_all(params)
@@ -378,10 +390,7 @@ def verify_theorem2(params: Params, n_max: int) -> Theorem2Report:
     {1, 2} cycle, a fixed point, the degenerate zero, or other.
     """
     _check_int("n_max", n_max, 1)
-    if not check_a(params):
-        raise PreconditionError(
-            f"condition (a) fails for k={params.k}, p={params.p}", failed=("a",)
-        )
+    _require_a(params)
     census = _census(params, n_max)[0]
     lo, hi = census.scanned_range
     terminated = sum(c.basin_size for c in census.cycles) == hi - lo + 1

@@ -9,6 +9,7 @@ word so that every per-digit product downstream stays within 128 bits.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
@@ -78,7 +79,10 @@ class KAdicDigits:
     def __post_init__(self) -> None:
         base = self.base
         _check_int("base", base, 2, word=True)
-        digits = tuple(self.digits)
+        digits = self.digits
+        if isinstance(digits, (Set, Mapping)) or not isinstance(digits, Iterable):
+            raise ParameterDomainError(f"digits must be an ordered sequence, got {_echo(digits)}")
+        digits = tuple(digits)
         for d in digits:
             if not (isinstance(d, int) and 0 <= d < base):
                 raise DigitDomainError(f"digit {_echo(d)} is not an integer in [0, {base})")

@@ -317,6 +317,51 @@ def test_verify_theorem1_genuine_failure_exit_1():
     assert counter["cycle"] == ["6"]
 
 
+# theorem, k, p and the status each run must end with
+VERIFY_RUNS = {
+    "theorem 1 pass": ("1", "137", "11", "ok"),
+    "theorem 1 counterexample": ("1", "9", "5", "verification_failed"),
+    "theorem 2": ("2", "10", "5", "ok"),
+    "precondition failure": ("1", "5", "3", "precondition_failed"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(VERIFY_RUNS))
+def test_verify_csv_matches_json_facts(run):
+    theorem, k, p, status = VERIFY_RUNS[run]
+    argv = ["verify", "--theorem", theorem, "--k", k, "--p", p, "--n-max", "300"]
+    envelope = json.loads(run_cli(*argv).stdout)
+    rows = parse_csv(run_cli(*argv, "--format", "csv").stdout)
+    assert envelope["status"] == status
+    payload = envelope["payload"]
+    lead = {"schema_version": "1", "command": "verify", "status": status}
+    lead.update(theorem=theorem, k=k, p=p)
+    if status == "precondition_failed":
+        expected = [{**lead, "failed_conditions": ",".join(payload["failed_conditions"])}]
+    elif theorem == "1":
+        counter = payload["counterexample"]
+        expected = [
+            {
+                **lead,
+                "n_max": payload["n_max"],
+                "passed": "true" if payload["passed"] else "false",
+                "counterexample_start": "" if counter is None else counter["start"],
+            }
+        ]
+    else:
+        expected = [
+            {
+                **lead,
+                "n_max": payload["n_max"],
+                "cycle": ",".join(entry["cycle"]),
+                "label": entry["label"],
+                "basin_size": str(entry["basin_size"]),
+            }
+            for entry in payload["classification"]
+        ]
+    assert [list(row.items()) for row in rows] == [list(row.items()) for row in expected]
+
+
 # -- sweep -------------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
-"""Source rules: no line over 100 characters; one home for the digit check."""
+"""Source rules: no line over 100 characters; one home for the digit check
+and one for the CLI's spelling of true and false."""
 
 from __future__ import annotations
 
@@ -38,3 +39,18 @@ def test_digit_domain_error_is_raised_only_by_the_digit_vector():
         if isinstance(node, ast.ClassDef) and node.name == "KAdicDigits"
     ]
     assert raises(vector) == sum(map(raises, trees.values())) == 1
+
+
+def test_cli_spells_true_and_false_only_in_the_cell_rule():
+    def spellings(tree: ast.AST) -> list[str]:
+        return sorted(
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in ("true", "false")
+        )
+
+    cli = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
+    (cell,) = [
+        node for node in cli.body if isinstance(node, ast.FunctionDef) and node.name == "_cell"
+    ]
+    assert spellings(cell) == spellings(cli) == ["false", "true"]

@@ -64,6 +64,11 @@ NON_INTEGER_CALLS = {
     "from_digits digit": (lambda: from_digits([1.5], 10), DigitDomainError),
     "from_digits long": (lambda: from_digits([1] * 999 + [2.0], 10), DigitDomainError),
     "KAdicDigits digit": (lambda: KAdicDigits(10, (Fraction(3),)), DigitDomainError),
+    "KAdicDigits int digits": (lambda: KAdicDigits(10, 5), ParameterDomainError),
+    "KAdicDigits set digits": (lambda: KAdicDigits(10, {3, 1}), ParameterDomainError),
+    "KAdicDigits dict digits": (lambda: KAdicDigits(10, {1: 0}), ParameterDomainError),
+    "from_digits int digits": (lambda: from_digits(5, 10), ParameterDomainError),
+    "from_digits None digits": (lambda: from_digits(None, 10), ParameterDomainError),
     "orbit float start": (lambda: orbit(5.0, Params(10, 5)), ParameterDomainError),
     "orbit str start": (lambda: orbit("5", Params(10, 5)), ParameterDomainError),
     "orbit max_steps": (lambda: orbit(5, Params(10, 5), max_steps=2.5), ParameterDomainError),
