@@ -619,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("orbit", _cmd_orbit, [common, pair], "trace the orbit of one value to its first repeat"),
         ("check", _cmd_check, [common, pair], "evaluate parameter conditions (a), (b), (c)"),
         ("census", _cmd_census, [common, pair], "enumerate all cycles with basin sizes"),
-        ("verify", _cmd_verify, [common, pair], "run an exhaustive desk-scale verifier"),
+        ("verify", _cmd_verify, [common, pair], "decide Theorem 1 or 2 for every start n >= 1"),
         ("sweep", _cmd_sweep, [common], "evaluate a grid of (k, p) cells"),
     ):
         commands[name] = sub.add_parser(name, parents=parents, help=summary)
@@ -643,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--p-range", type=_int_range, required=True, metavar="LO:HI")
     for name, n_max_help in (
         ("census", "widen basin attribution to [0, n-max]"),
-        ("verify", f"range of starting values to cover (default {DEFAULT_N_MAX})"),
+        ("verify", f"widen basin counts to [0, n-max] (default {DEFAULT_N_MAX})"),
         ("sweep", f"starting range per cell (default {DEFAULT_N_MAX})"),
     ):
         commands[name].add_argument("--n-max", type=_positive_int, help=n_max_help)

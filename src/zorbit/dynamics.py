@@ -9,10 +9,11 @@ parameter sweeps) reduces to finite, exhaustively checked computation
 inside the box.
 
 One engine serves them all: ``_walk``, keyed by the digit map alone,
-resolves the box once, row by row, pulling most nodes' cycle and depth
-(steps to that cycle) from their images ``z(c*k + a) = z(c) + digit(a)``,
-then walks each start above the box down into it once, counting basins and
-the longest transient in the same walk.  ``_census`` feeds it ``digit_step``
+resolves every start in one pass, row by row, pulling most nodes' cycle and
+depth (steps to that cycle) from their images ``z(c*k + a) = z(c) + digit(a)``;
+above the box every image lies below its row, so the pull alone resolves
+those rows, and basins and the longest transient are counted in the same
+pass.  ``_census`` feeds it ``digit_step``
 and ``absorbing_bound`` and picks the Theorem 1 witness by
 ``classify_cycle``; ``cycle_census``, ``fixed_points``, both verifiers and
 ``sweep`` all read their answers from it.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from array import array
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -31,6 +33,7 @@ from itertools import islice
 
 from .errors import AbsorptionError, ParameterDomainError, PreconditionError, _check_int, _echo
 from .hypothesis import HypothesisReport, check_a, check_all
+from .kadic import digit_count
 from .transform import OrbitTrace, Params, _check_params, digit_step, orbit
 
 LABEL_UNIVERSAL = "universal_2cycle"
@@ -154,29 +157,33 @@ def _walk(
     k: int, digit: Callable[[int], int], bound: int, n_max: int | None
 ) -> tuple[tuple[Cycle, ...], tuple[int, ...], int]:
     """Every cycle of n -> sum of ``digit(a)`` over the base-k digits a of n,
-    with basins over [0, max(bound, n_max)]; each cycle's smallest start, in
-    the same order; and the longest transient in [1, n_max] (default bound).
+    with basins over [0, end], end = max(bound, n_max); each cycle's smallest
+    start, in the same order; and the longest transient in [1, n_max] (default bound).
 
-    ``digit`` is any nonnegative map on 0..k-1; ``bound`` must be absorbing:
-    [0, bound] maps into itself and every n above it maps below n.  The box
-    is resolved in increasing blocks, each a row [c*k, c*k + k) cut to
-    ``_BLOCK`` nodes, whose images are z(c) + digit(a) (0 maps to the empty
-    sum 0).  ``cycle_id`` holds -1 for unresolved nodes and -2 for nodes on the
-    walk in progress, so a walk that meets its own path has closed a new cycle;
-    then it indexes ``found`` at the cycle n ends in, and ``depth[n]`` counts
-    the steps n takes to enter it.  Only a node whose image is unresolved at its
-    turn starts a walk; the block then pulls the rest from its images, and
-    resets its cycle members' depth to 0.  Every cycle lies in the box, so its
-    smallest start is the first node of ``cycle_id`` holding its index.  Images
-    are checked against the box, and each start above ``bound`` is descended
-    once, checking strict descent at every step: a broken certificate raises
-    AbsorptionError.
+    Contract: ``digit`` is any nonnegative map on 0..k-1, and ``bound`` is
+    absorbing as ``absorbing_bound`` proves it: [0, bound] maps into itself,
+    and an m-digit n above it maps into [0, bound] or below k**(m-1) <= c*k
+    for its row [c*k, c*k + k).  So one pass resolves [0, end] in increasing
+    blocks, each a row cut to ``_BLOCK`` nodes, whose images are z(c) + digit(a)
+    (0 maps to the empty sum 0): a block that starts in the box maps into it,
+    one above it maps below its first node, or AbsorptionError is raised.
+    ``cycle_id`` holds -1 for unresolved nodes and -2 for nodes on the walk in
+    progress, so a walk that meets its own path has closed a new cycle; then it
+    indexes ``found`` at the cycle n ends in, and ``depth[n]`` counts the steps
+    n takes to enter it.  Only a node of the box's rows whose image is unresolved
+    at its turn starts a walk; the block then pulls the rest from its images,
+    and resets its cycle members' depth to 0.  Every cycle lies in the box, so
+    its smallest start is the first node of ``cycle_id`` holding its index.
+    The tables keep the box's rows and every block up to the largest image
+    of any start; later blocks are only counted.
     """
-    size = bound + 1  # allocate first: a box past the address space fails at once
+    end = bound if n_max is None else max(bound, n_max)
+    size = min(bound // k * k + k, end + 1)  # the box's rows: walks may start in all of them
     typecode = "i" if bound < 2**31 - 1 else "q"
-    cycle_id = array(typecode, [-1]) * size
-    depth = array(typecode, [0]) * size
+    cycle_id = array(typecode, [-1]) * size  # allocate first: a box past the address space
+    depth = array(typecode, [0]) * size  # fails at once, before the digit table
     table = tuple(map(digit, range(k)))
+    keep = max(size - 1, digit_count(end, k) * max(table))  # no start's image lies above
 
     def step(n: int, _table=table, _k=k) -> int:
         total = 0
@@ -188,16 +195,21 @@ def _walk(
     left_box = f"step left the certified box [0, {bound}] from"
     found: list[tuple[int, ...]] = []
     members: list[int] = []  # a heap of the cycle members in blocks not yet pulled
-    for row in range(0, size, k):
+    counts: Counter[int] = Counter()  # the cycle ids of the blocks past keep
+    longest = 0  # their longest transient
+    for row in range(0, end + 1, k):
         high = step(row // k)
-        for lo in range(row, min(row + k, size), _BLOCK):
-            hi = min(lo + _BLOCK, row + k, size)
+        for lo in range(row, min(row + k, end + 1), _BLOCK):
+            hi = min(lo + _BLOCK, row + k, end + 1)
             images = [high + d for d in table[lo - row : hi - row]]
             if not lo:
                 images[0] = 0  # the empty digit sum, whatever digit(0) is
-            if max(images) > bound:
-                raise AbsorptionError(f"{left_box} {lo + images.index(max(images))}")
-            for start, image in zip(range(lo, hi), images):
+            peak = max(images)
+            if peak > (bound if lo <= bound else lo - 1):
+                n = lo + images.index(peak)
+                descent = f"descent violated above certified bound {bound}: z({n}) = {peak}"
+                raise AbsorptionError(f"{left_box} {n}" if n <= bound else descent)
+            for start, image in zip(range(lo, min(hi, size)), images):
                 if image < lo or cycle_id[image] != -1 or cycle_id[start] != -1:
                     continue  # resolved already, or pulled below
                 path: list[int] = []
@@ -222,34 +234,21 @@ def _walk(
                     steps += 1
                     depth[v] = steps
                     cycle_id[v] = cid
-            cycle_id[lo:hi] = array(typecode, [cycle_id[image] for image in images])
-            depth[lo:hi] = array(typecode, [depth[image] + 1 for image in images])
+            if lo <= keep:  # slicing past the end appends
+                cycle_id[lo:hi] = array(typecode, [cycle_id[image] for image in images])
+                depth[lo:hi] = array(typecode, [depth[image] + 1 for image in images])
+            else:
+                counts.update(map(cycle_id.__getitem__, images))
+                longest = max(longest, max(map(depth.__getitem__, images)) + 1)
             while members and members[0] < hi:
                 depth[heappop(members)] = 0
 
     top = bound if n_max is None else n_max
-    counts = [0] * len(found)
-    for cid in cycle_id:
-        counts[cid] += 1
-    longest = max(islice(depth, 1, min(bound, top) + 1), default=0)  # a slice would copy
-    for n in range(bound + 1, top + 1):
-        current = n
-        taken = 0
-        while current > bound:
-            nxt = step(current)
-            if nxt >= current:
-                raise AbsorptionError(
-                    f"descent violated above certified bound {bound}: z({current}) = {nxt}"
-                )
-            current = nxt
-            taken += 1
-        counts[cycle_id[current]] += 1
-        taken += depth[current]
-        if taken > longest:
-            longest = taken
-
+    longest = max(longest, max(islice(depth, 1, top + 1), default=0))  # a slice would copy
+    counts.update(cycle_id)
     # Cycles are disjoint, so ordering by values orders by minimum element.
-    ordered = sorted(zip(found, counts, map(cycle_id.index, range(len(found)))))
+    ids = range(len(found))
+    ordered = sorted(zip(found, map(counts.__getitem__, ids), map(cycle_id.index, ids)))
     cycles = tuple(Cycle(values=values, basin_size=count) for values, count, _ in ordered)
     return cycles, tuple(first for _, _, first in ordered), longest
 

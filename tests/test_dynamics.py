@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import tracemalloc
 from collections import Counter
 from itertools import count
 
@@ -202,6 +203,19 @@ def test_box_past_the_address_space_fails_before_the_digit_table(monkeypatch):
         cycle_census(Params(2**32, 3))
 
 
+def test_tables_past_the_box_stay_box_sized():
+    # B = 364: the tables keep [0, 546], up to the largest image of a start,
+    # and only count the rest of [0, 100 000]; tables spanning the range
+    # would take about 800 kB
+    tracemalloc.start()
+    try:
+        cycle_census(Params(137, 11), 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+
+
 @st.composite
 def small_cell_and_range(draw) -> tuple[int, int, int]:
     """A cell with box B <= 5 000 and a range end N below or above B."""
@@ -216,6 +230,7 @@ def small_cell_and_range(draw) -> tuple[int, int, int]:
 @given(small_cell_and_range())
 @example((23, 4, 100))  # (a)-(c) hold, yet 44 is a fixed point: theorem1_status fails
 @example((9, 5, 10))  # the same with the fixed point 6 and n_max below B = 12
+@example((100, 10, 30_000))  # B = 220, box rows to 299, stored to 330, then only counted
 @settings(max_examples=25, deadline=None)
 def test_census_and_sweep_match_naive_orbits(case):
     # basins and the longest transient against per-start naive orbits
@@ -285,6 +300,13 @@ def test_walk_finds_published_digit_power_cycles(exponent):
         (10, lambda a: {1: 55, 5: 30}.get(a, 0), 59, "step left the certified box [0, 59] from 55"),
         # the descent check: [0, 9] maps into itself, but z(11) = 18 > 11
         (10, lambda a: 9 if a else 0, 9, "descent violated above certified bound 9"),
+        # descent is not enough: z(19) = 14 < 19, but the row [10, 20) must map below 10
+        (
+            10,
+            lambda a: {1: 5, 9: 9}.get(a, 0),
+            9,
+            "descent violated above certified bound 9: z(19) = 14",
+        ),
     ],
 )
 def test_walk_raises_on_a_broken_certificate(k, digit, bound, message):
