@@ -10,13 +10,14 @@ inside the box.
 
 One engine serves them all: ``_walk``, keyed by the digit map alone,
 resolves every start in one pass, row by row, pulling most nodes' cycle and
-depth (steps to that cycle) from their images ``z(c*k + a) = z(c) + digit(a)``;
-above the box every image lies below its row, so the pull alone resolves
-those rows, and basins and the longest transient are counted in the same
-pass.  ``_census`` feeds it ``digit_step``
-and ``absorbing_bound`` and picks the Theorem 1 witness by
-``classify_cycle``; ``cycle_census``, ``fixed_points``, both verifiers and
-``sweep`` all read their answers from it.
+depth (steps to that cycle) from their images ``z(c*k + a) = z(c) + digit(a)``.
+A stored block whose images equal those of an earlier one that holds no
+cycle member copies that block's tables and basin tally instead.  Above the
+box every image lies below its row, so the pull alone resolves those rows;
+basins and the longest transient are counted in the same pass.  ``_census``
+feeds it ``digit_step`` and ``absorbing_bound`` and picks the Theorem 1
+witness by ``classify_cycle``; ``cycle_census``, ``fixed_points``, both
+verifiers and ``sweep`` all read their answers from it.
 """
 
 from __future__ import annotations
@@ -172,8 +173,13 @@ def _walk(
     indexes ``found`` at the cycle n ends in, and ``depth[n]`` counts the steps
     n takes to enter it.  Only a node of the box's rows whose image is unresolved
     at its turn starts a walk; the block then pulls the rest from its images,
-    and resets its cycle members' depth to 0.  Every cycle lies in the box, so
-    its smallest start is the first node of ``cycle_id`` holding its index.
+    and resets its cycle members' depth to 0.  Stored blocks with equal
+    (z(c), lo - row, hi - lo) have equal images, so a later one copies both
+    tables and the basin tally of the first that holds no cycle member (a
+    member's depth is 0, not its image's + 1; block 0 holds the member 0, so
+    its forced image is never copied), and skips the images, their check and
+    the walks.  Basins sum the blocks' tallies.  Every cycle lies in the box,
+    so its smallest start is the first node of ``cycle_id`` holding its index.
     The tables keep the box's rows and every block up to the largest image
     of any start; later blocks are only counted.
     """
@@ -195,12 +201,21 @@ def _walk(
     left_box = f"step left the certified box [0, {bound}] from"
     found: list[tuple[int, ...]] = []
     members: list[int] = []  # a heap of the cycle members in blocks not yet pulled
-    counts: Counter[int] = Counter()  # the cycle ids of the blocks past keep
-    longest = 0  # their longest transient
+    counts: Counter[int] = Counter()  # the basins: every block's cycle ids
+    longest = 0  # the longest transient of the blocks past keep
+    sources: dict[tuple[int, int, int], tuple[int, Counter[int]]] = {}  # stored blocks by images
     for row in range(0, end + 1, k):
         high = step(row // k)
         for lo in range(row, min(row + k, end + 1), _BLOCK):
             hi = min(lo + _BLOCK, row + k, end + 1)
+            if lo <= keep and (key := (high, lo - row, hi - lo)) in sources:
+                src, tally = sources[key]  # the source's images: its check and walks hold here
+                cycle_id[lo:hi] = cycle_id[src : src + hi - lo]
+                depth[lo:hi] = depth[src : src + hi - lo]
+                counts.update(tally)
+                while members and members[0] < hi:
+                    depth[heappop(members)] = 0
+                continue
             images = [high + d for d in table[lo - row : hi - row]]
             if not lo:
                 images[0] = 0  # the empty digit sum, whatever digit(0) is
@@ -235,8 +250,13 @@ def _walk(
                     depth[v] = steps
                     cycle_id[v] = cid
             if lo <= keep:  # slicing past the end appends
-                cycle_id[lo:hi] = array(typecode, [cycle_id[image] for image in images])
+                block_ids = [cycle_id[image] for image in images]
+                cycle_id[lo:hi] = array(typecode, block_ids)
                 depth[lo:hi] = array(typecode, [depth[image] + 1 for image in images])
+                tally = Counter(block_ids)
+                counts.update(tally)
+                if not (members and members[0] < hi):  # a member's depth is 0, not its image's + 1
+                    sources[key] = lo, tally
             else:
                 counts.update(map(cycle_id.__getitem__, images))
                 longest = max(longest, max(map(depth.__getitem__, images)) + 1)
@@ -245,7 +265,6 @@ def _walk(
 
     top = bound if n_max is None else n_max
     longest = max(longest, max(islice(depth, 1, top + 1), default=0))  # a slice would copy
-    counts.update(cycle_id)
     # Cycles are disjoint, so ordering by values orders by minimum element.
     ids = range(len(found))
     ordered = sorted(zip(found, map(counts.__getitem__, ids), map(cycle_id.index, ids)))

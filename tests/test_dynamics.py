@@ -231,6 +231,7 @@ def small_cell_and_range(draw) -> tuple[int, int, int]:
 @example((23, 4, 100))  # (a)-(c) hold, yet 44 is a fixed point: theorem1_status fails
 @example((9, 5, 10))  # the same with the fixed point 6 and n_max below B = 12
 @example((100, 10, 30_000))  # B = 220, box rows to 299, stored to 330, then only counted
+@example((1000, 8, 31_500))  # a 32-row box: most rows repeat an earlier row's z(c) and are copied
 @settings(max_examples=25, deadline=None)
 def test_census_and_sweep_match_naive_orbits(case):
     # basins and the longest transient against per-start naive orbits
@@ -343,6 +344,7 @@ def digit_map_and_range(draw) -> tuple[int, tuple[int, ...], int, int | None]:
 
 
 @given(digit_map_and_range())
+@example((3, (1, 0, 0), 81, None))  # copying a block that holds a cycle member would go wrong here
 @settings(max_examples=30, deadline=None)
 def test_walk_matches_per_start_orbits_for_random_digit_maps(case):
     # basins, each cycle's smallest start and the longest transient
