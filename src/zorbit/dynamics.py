@@ -10,14 +10,14 @@ inside the box.
 
 One engine serves them all: ``_walk``, keyed by the digit map alone,
 resolves every start in one pass, row by row, pulling most nodes' cycle and
-depth (steps to that cycle) from their images ``z(c*k + a) = z(c) + digit(a)``.
-A stored block whose images equal those of an earlier one that holds no
-cycle member copies that block's tables and basin tally instead.  Above the
-box every image lies below its row, so the pull alone resolves those rows;
-basins and the longest transient are counted in the same pass.  ``_census``
-feeds it ``digit_step`` and ``absorbing_bound`` and picks the Theorem 1
-witness by ``classify_cycle``; ``cycle_census``, ``fixed_points``, both
-verifiers and ``sweep`` all read their answers from it.
+depth (steps to that cycle) from their images ``z(c*k + a) = z(c) + digit(a)``
+by one C-level gather per block, so a box node costs about the same whatever
+the digit map.  Above the box every image lies below its row, so the pull
+alone resolves those rows; basins and the longest transient are counted in
+the same pass.  ``_census`` feeds it ``digit_step`` and ``absorbing_bound``
+and picks the Theorem 1 witness by ``classify_cycle``; ``cycle_census``,
+``fixed_points``, both verifiers and ``sweep`` all read their answers from
+it.
 """
 
 from __future__ import annotations
@@ -25,12 +25,14 @@ from __future__ import annotations
 import multiprocessing
 import os
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
 from itertools import islice
+from operator import itemgetter
 
 from .errors import AbsorptionError, ParameterDomainError, PreconditionError, _check_int, _echo
 from .hypothesis import HypothesisReport, check_a, check_all
@@ -171,17 +173,16 @@ def _walk(
     ``cycle_id`` holds -1 for unresolved nodes and -2 for nodes on the walk in
     progress, so a walk that meets its own path has closed a new cycle; then it
     indexes ``found`` at the cycle n ends in, and ``depth[n]`` counts the steps
-    n takes to enter it.  Only a node of the box's rows whose image is unresolved
-    at its turn starts a walk; the block then pulls the rest from its images,
-    and resets its cycle members' depth to 0.  Stored blocks with equal
-    (z(c), lo - row, hi - lo) have equal images, so a later one copies both
-    tables and the basin tally of the first that holds no cycle member (a
-    member's depth is 0, not its image's + 1; block 0 holds the member 0, so
-    its forced image is never copied), and skips the images, their check and
-    the walks.  Basins sum the blocks' tallies.  Every cycle lies in the box,
-    so its smallest start is the first node of ``cycle_id`` holding its index.
-    The tables keep the box's rows and every block up to the largest image
-    of any start; later blocks are only counted.
+    n takes to enter it.  A block's digits depend only on its shape (offset in
+    its row and length), so each shape's ``itemgetter`` and its nodes sorted by
+    digit are built once: the images not below lo are a bisection away, and a
+    walk starts at each that is unresolved at its turn.  The block then gathers
+    both tables from memoryviews that start at z(c), adds 1 to the depths,
+    resets its cycle members' depth to 0 and tallies its ids, by ``bytes.count``
+    while there are at most 256 cycles.  Every cycle lies in the box, so its
+    smallest start is the first node of ``cycle_id`` holding its index.  The
+    tables keep the box's rows and every block up to the largest image of any
+    start; later blocks are only counted.
     """
     end = bound if n_max is None else max(bound, n_max)
     size = min(bound // k * k + k, end + 1)  # the box's rows: walks may start in all of them
@@ -203,32 +204,27 @@ def _walk(
     members: list[int] = []  # a heap of the cycle members in blocks not yet pulled
     counts: Counter[int] = Counter()  # the basins: every block's cycle ids
     longest = 0  # the longest transient of the blocks past keep
-    sources: dict[tuple[int, int, int], tuple[int, Counter[int]]] = {}  # stored blocks by images
+    shapes: dict[tuple[int, int] | None, tuple] = {}  # digits, gather, nodes sorted by digit
     for row in range(0, end + 1, k):
         high = step(row // k)
         for lo in range(row, min(row + k, end + 1), _BLOCK):
             hi = min(lo + _BLOCK, row + k, end + 1)
-            if lo <= keep and (key := (high, lo - row, hi - lo)) in sources:
-                src, tally = sources[key]  # the source's images: its check and walks hold here
-                cycle_id[lo:hi] = cycle_id[src : src + hi - lo]
-                depth[lo:hi] = depth[src : src + hi - lo]
-                counts.update(tally)
-                while members and members[0] < hi:
-                    depth[heappop(members)] = 0
-                continue
-            images = [high + d for d in table[lo - row : hi - row]]
-            if not lo:
-                images[0] = 0  # the empty digit sum, whatever digit(0) is
-            peak = max(images)
+            if (shape := (lo - row, hi - lo) if lo else None) not in shapes:
+                digits = table[lo - row : hi - row] if lo else (0, *table[1:hi])  # z(0) = 0
+                order = sorted(range(hi - lo), key=digits.__getitem__)
+                gather = itemgetter(*digits) if hi - lo > 1 else lambda v, d=digits[0]: (v[d],)
+                shapes[shape] = digits, gather, order, [digits[i] for i in order]
+            digits, gather, order, ranked = shapes[shape]
+            peak = high + ranked[-1]
             if peak > (bound if lo <= bound else lo - 1):
-                n = lo + images.index(peak)
+                n = lo + order[bisect_left(ranked, ranked[-1])]
                 descent = f"descent violated above certified bound {bound}: z({n}) = {peak}"
                 raise AbsorptionError(f"{left_box} {n}" if n <= bound else descent)
-            for start, image in zip(range(lo, min(hi, size)), images):
-                if image < lo or cycle_id[image] != -1 or cycle_id[start] != -1:
-                    continue  # resolved already, or pulled below
+            for i in sorted(order[bisect_left(ranked, lo - high) :]):  # images not below lo
+                if cycle_id[high + digits[i]] != -1:
+                    continue  # resolved already
                 path: list[int] = []
-                current = start
+                current = high + digits[i]  # the walk starts at the image; the block pulls node i
                 while cycle_id[current] == -1:
                     cycle_id[current] = -2
                     path.append(current)
@@ -250,14 +246,18 @@ def _walk(
                     depth[v] = steps
                     cycle_id[v] = cid
             if lo <= keep:  # slicing past the end appends
-                block_ids = [cycle_id[image] for image in images]
+                with memoryview(cycle_id) as id_view, memoryview(depth) as depth_view:
+                    block_ids, block_depths = gather(id_view[high:]), gather(depth_view[high:])
                 cycle_id[lo:hi] = array(typecode, block_ids)
-                depth[lo:hi] = array(typecode, [depth[image] + 1 for image in images])
-                tally = Counter(block_ids)
-                counts.update(tally)
-                if not (members and members[0] < hi):  # a member's depth is 0, not its image's + 1
-                    sources[key] = lo, tally
+                depth[lo:hi] = array(typecode, [d + 1 for d in block_depths])
+                if len(found) <= 256:  # every id fits a byte, and bytes count one in C
+                    tally = bytes(block_ids)
+                    for cid in range(len(found)):
+                        counts[cid] += tally.count(cid)
+                else:
+                    counts.update(block_ids)
             else:
+                images = [high + d for d in digits]
                 counts.update(map(cycle_id.__getitem__, images))
                 longest = max(longest, max(map(depth.__getitem__, images)) + 1)
             while members and members[0] < hi:

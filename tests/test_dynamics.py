@@ -329,6 +329,17 @@ def test_walk_does_not_depend_on_the_block_size(monkeypatch, block):
     assert [_walk(*case) for case in cases] == expected
 
 
+@pytest.mark.parametrize("block", [4096, 7])
+def test_walk_counts_basins_past_256_cycles(monkeypatch, block):
+    # base-300 digit sums of n <= 299 fix every n: 300 cycles, past a byte's ids
+    monkeypatch.setattr("zorbit.dynamics._BLOCK", block)
+    cycles, firsts, longest = _walk(300, lambda a: a, 299, None)
+    assert [c.values for c in cycles] == [(n,) for n in range(300)]
+    assert {c.basin_size for c in cycles} == {1}
+    assert firsts == tuple(range(300))
+    assert longest == 0
+
+
 @st.composite
 def digit_map_and_range(draw) -> tuple[int, tuple[int, ...], int, int | None]:
     """A base k, a digit table with entries <= k*k, the box k**4 and a range end.
