@@ -11,13 +11,13 @@ inside the box.
 One engine serves them all: ``_walk``, keyed by the digit map alone,
 resolves every start in one pass, row by row, pulling most nodes' cycle and
 depth (steps to that cycle) from their images ``z(c*k + a) = z(c) + digit(a)``
-by one C-level gather per block, so a box node costs about the same whatever
-the digit map.  Above the box every image lies below its row, so the pull
-alone resolves those rows; basins and the longest transient are counted in
-the same pass.  ``_census`` feeds it ``digit_step`` and ``absorbing_bound``
-and picks the Theorem 1 witness by ``classify_cycle``; ``cycle_census``,
-``fixed_points``, both verifiers and ``sweep`` all read their answers from
-it.
+by one C-level gather and tally per block, so a node costs about the same
+whatever the digit map.  Above the box every image lies below its row, so the
+pull alone resolves those rows; blocks past the stored tables skip only the
+table writes, and basins and the longest transient are counted in the same
+pass.  ``_census`` feeds it ``digit_step`` and ``absorbing_bound`` and picks
+the Theorem 1 witness by ``classify_cycle``; ``cycle_census``,
+``fixed_points``, both verifiers and ``sweep`` all read their answers from it.
 """
 
 from __future__ import annotations
@@ -182,7 +182,8 @@ def _walk(
     while there are at most 256 cycles.  Every cycle lies in the box, so its
     smallest start is the first node of ``cycle_id`` holding its index.  The
     tables keep the box's rows and every block up to the largest image of any
-    start; later blocks are only counted.
+    start; a later block is gathered and tallied the same way, skips the table
+    writes and only raises the longest transient.
     """
     end = bound if n_max is None else max(bound, n_max)
     size = min(bound // k * k + k, end + 1)  # the box's rows: walks may start in all of them
@@ -245,21 +246,19 @@ def _walk(
                     steps += 1
                     depth[v] = steps
                     cycle_id[v] = cid
+            with memoryview(cycle_id) as id_view, memoryview(depth) as depth_view:
+                block_ids, block_depths = gather(id_view[high:]), gather(depth_view[high:])
             if lo <= keep:  # slicing past the end appends
-                with memoryview(cycle_id) as id_view, memoryview(depth) as depth_view:
-                    block_ids, block_depths = gather(id_view[high:]), gather(depth_view[high:])
                 cycle_id[lo:hi] = array(typecode, block_ids)
                 depth[lo:hi] = array(typecode, [d + 1 for d in block_depths])
-                if len(found) <= 256:  # every id fits a byte, and bytes count one in C
-                    tally = bytes(block_ids)
-                    for cid in range(len(found)):
-                        counts[cid] += tally.count(cid)
-                else:
-                    counts.update(block_ids)
             else:
-                images = [high + d for d in digits]
-                counts.update(map(cycle_id.__getitem__, images))
-                longest = max(longest, max(map(depth.__getitem__, images)) + 1)
+                longest = max(longest, max(block_depths) + 1)
+            if len(found) <= 256:  # every id fits a byte, and bytes count one in C
+                tally = bytes(block_ids)
+                for cid in range(len(found)):
+                    counts[cid] += tally.count(cid)
+            else:
+                counts.update(block_ids)
             while members and members[0] < hi:
                 depth[heappop(members)] = 0
 

@@ -231,7 +231,7 @@ def small_cell_and_range(draw) -> tuple[int, int, int]:
 @example((23, 4, 100))  # (a)-(c) hold, yet 44 is a fixed point: theorem1_status fails
 @example((9, 5, 10))  # the same with the fixed point 6 and n_max below B = 12
 @example((100, 10, 30_000))  # B = 220, box rows to 299, stored to 330, then only counted
-@example((1000, 8, 31_500))  # a 32-row box: most rows repeat an earlier row's z(c) and are copied
+@example((1000, 8, 31_500))  # a 32-row box: many rows share a z(c), and each is gathered anew
 @settings(max_examples=25, deadline=None)
 def test_census_and_sweep_match_naive_orbits(case):
     # basins and the longest transient against per-start naive orbits
@@ -338,6 +338,14 @@ def test_walk_counts_basins_past_256_cycles(monkeypatch, block):
     assert {c.basin_size for c in cycles} == {1}
     assert firsts == tuple(range(300))
     assert longest == 0
+    # box [0, 599], rows 2..10 only counted: a counted block's tally past 256 cycles
+    cycles, firsts, longest = _walk(300, lambda a: a, 599, 3_000)
+    orbits = [orbit_by_table(n, 300, range(300)) for n in range(3_001)]
+    basins = Counter(canonical_cycle(*orbit) for orbit in orbits)
+    assert {c.values: c.basin_size for c in cycles} == dict(basins)
+    assert len(cycles) == 300 and sum(basins.values()) == 3_001
+    assert firsts == tuple(range(300))
+    assert longest == max(lam for _, lam, _ in orbits[1:]) == 2
 
 
 @st.composite
@@ -355,7 +363,7 @@ def digit_map_and_range(draw) -> tuple[int, tuple[int, ...], int, int | None]:
 
 
 @given(digit_map_and_range())
-@example((3, (1, 0, 0), 81, None))  # copying a block that holds a cycle member would go wrong here
+@example((3, (1, 0, 0), 81, None))  # a block's cycle members take depth 0, not their image's + 1
 @settings(max_examples=30, deadline=None)
 def test_walk_matches_per_start_orbits_for_random_digit_maps(case):
     # basins, each cycle's smallest start and the longest transient
