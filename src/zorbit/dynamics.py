@@ -12,10 +12,13 @@ One engine serves them all: ``_walk``, keyed by the digit map alone,
 resolves every start in one pass, row by row, pulling most nodes' cycle and
 depth (steps to that cycle) from their images ``z(c*k + a) = z(c) + digit(a)``
 by one C-level gather and tally per block, so a node costs about the same
-whatever the digit map.  Above the box every image lies below its row, so the
-pull alone resolves those rows; blocks past the stored tables skip only the
-table writes, and basins and the longest transient are counted in the same
-pass.  ``_census`` feeds it ``digit_step`` and ``absorbing_bound`` and picks
+whatever the digit map.  Both tables take one signed byte per node, and a
+stored block adds 1 to its depths by one ``bytes.translate``; a depth or
+cycle id past 127 sends the census back for one pass with 4- or 8-byte
+tables.  Above the box every image lies below its row, so the pull alone
+resolves those rows; blocks past the stored tables skip only the table
+writes, and basins and the longest transient are counted in the same pass.
+``_census`` feeds it ``digit_step`` and ``absorbing_bound`` and picks
 the Theorem 1 witness by ``classify_cycle``; ``cycle_census``,
 ``fixed_points``, both verifiers and ``sweep`` all read their answers from it.
 """
@@ -50,7 +53,8 @@ THEOREM1_NOT_CHECKED = "not_checked"
 THEOREM1_SKIPPED = "skipped"
 THEOREM1_ERROR = "error"
 
-_BLOCK = 4096  # box nodes resolved at once: the block's lists stay small beside its arrays
+_BLOCK = 4096  # nodes pulled at once: its tuples, 16 B a node, stay small beside the tables
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"  # a depth byte's successor, by bytes.translate
 
 
 def max_digit_step(params: Params) -> int:
@@ -184,10 +188,26 @@ def _walk(
     tables keep the box's rows and every block up to the largest image of any
     start; a later block is gathered and tallied the same way, skips the table
     writes and only raises the longest transient.
+
+    Both tables take one signed byte per node: a stored block's + 1 is one
+    ``bytes.translate`` and its two writes copy bytes.  A depth or cycle id past
+    127 raises OverflowError, from a walk's assignment or a translated depth of
+    128, and the census is redone once with wide tables, "i" below 2**31 - 1 and
+    "q" from there, whose + 1 is a list comprehension.
     """
+    try:
+        return _resolve(k, digit, bound, n_max, "b")
+    except OverflowError:
+        pass  # leave the handler first: its traceback holds the one-byte tables
+    return _resolve(k, digit, bound, n_max, "i" if bound < 2**31 - 1 else "q")
+
+
+def _resolve(
+    k: int, digit: Callable[[int], int], bound: int, n_max: int | None, typecode: str
+) -> tuple[tuple[Cycle, ...], tuple[int, ...], int]:
+    """One pass of ``_walk`` with both tables of array ``typecode``."""
     end = bound if n_max is None else max(bound, n_max)
     size = min(bound // k * k + k, end + 1)  # the box's rows: walks may start in all of them
-    typecode = "i" if bound < 2**31 - 1 else "q"
     cycle_id = array(typecode, [-1]) * size  # allocate first: a box past the address space
     depth = array(typecode, [0]) * size  # fails at once, before the digit table
     table = tuple(map(digit, range(k)))
@@ -248,17 +268,22 @@ def _walk(
                     cycle_id[v] = cid
             with memoryview(cycle_id) as id_view, memoryview(depth) as depth_view:
                 block_ids, block_depths = gather(id_view[high:]), gather(depth_view[high:])
-            if lo <= keep:  # slicing past the end appends
-                cycle_id[lo:hi] = array(typecode, block_ids)
-                depth[lo:hi] = array(typecode, [d + 1 for d in block_depths])
-            else:
-                longest = max(longest, max(block_depths) + 1)
             if len(found) <= 256:  # every id fits a byte, and bytes count one in C
                 tally = bytes(block_ids)
                 for cid in range(len(found)):
                     counts[cid] += tally.count(cid)
             else:
                 counts.update(block_ids)
+            if lo > keep:  # counted only; a stored block slicing past the end appends
+                longest = max(longest, max(block_depths) + 1)
+            elif typecode == "b":  # at most 128 cycles, so tally holds the ids
+                plus = bytes(block_depths).translate(_PLUS_ONE)
+                if 128 in plus:  # the byte would read back as -128
+                    raise OverflowError("depth past 127 in a one-byte table")
+                cycle_id[lo:hi], depth[lo:hi] = array("b", tally), array("b", plus)  # memcpy
+            else:
+                cycle_id[lo:hi] = array(typecode, block_ids)
+                depth[lo:hi] = array(typecode, [d + 1 for d in block_depths])
             while members and members[0] < hi:
                 depth[heappop(members)] = 0
 

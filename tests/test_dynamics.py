@@ -192,9 +192,9 @@ def test_census_matches_independent_orbits(k, p):
 
 
 def test_box_past_the_address_space_fails_before_the_digit_table(monkeypatch):
-    # B = 2*S with S = (t+1)(t+2) ~ 2.06e18: repeating an array past
-    # PY_SSIZE_T_MAX raises MemoryError at once, before any of the 2**32
-    # digit-table entries is computed
+    # B = 2*S with S = (t+1)(t+2) ~ 2.06e18: the allocator refuses a one-byte
+    # table of about 4.1e18 slots, so MemoryError comes at once, before any
+    # of the 2**32 digit-table entries is computed
     def never(*_):
         raise AssertionError("digit table built before the box was allocated")
 
@@ -214,6 +214,18 @@ def test_tables_past_the_box_stay_box_sized():
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024
+
+
+def test_box_tables_take_one_byte_a_node():
+    # B = 200 344: two tables of 4-byte slots alone would take 8 bytes a node
+    params = Params(947, 3)
+    tracemalloc.start()
+    try:
+        cycle_census(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (absorbing_bound(params) + 1)
 
 
 @st.composite
@@ -366,8 +378,14 @@ def digit_map_and_range(draw) -> tuple[int, tuple[int, ...], int, int | None]:
 @example((3, (1, 0, 0), 81, None))  # a block's cycle members take depth 0, not their image's + 1
 @settings(max_examples=30, deadline=None)
 def test_walk_matches_per_start_orbits_for_random_digit_maps(case):
-    # basins, each cycle's smallest start and the longest transient
-    k, table, bound, n_max = case
+    check_walk_against_orbits(*case)
+
+
+def check_walk_against_orbits(
+    k: int, table: tuple[int, ...], bound: int, n_max: int | None
+) -> int:
+    """Check basins, each cycle's smallest start and the longest transient
+    against per-start orbits; return the longest transient."""
     cycles, firsts, longest = _walk(k, table.__getitem__, bound, n_max)
     top = bound if n_max is None else n_max
     basins: Counter = Counter()
@@ -383,6 +401,31 @@ def test_walk_matches_per_start_orbits_for_random_digit_maps(case):
     assert {c.values: c.basin_size for c in cycles} == dict(basins)
     assert dict(zip((c.values for c in cycles), firsts)) == first
     assert longest == deepest
+    return longest
+
+
+STEP_DOWN = (0, *range(199))  # n -> n - 1 on one digit: n takes n steps to the fixed point 0
+
+
+@pytest.mark.parametrize("block", [4096, 7])
+@pytest.mark.parametrize(
+    "k,table,bound,n_max,deepest",
+    [
+        # a walk reaches node 128's depth: past a one-byte table
+        (200, STEP_DOWN, 199, None, 199),
+        (200, STEP_DOWN, 199, 5_000, 200),  # z(599) = 199
+        # node 128 is no node's image, so only its block's gather adds its depth
+        (129, STEP_DOWN[:129], 128, None, 128),
+        # base-130 digit sums fix every n <= 129: cycle ids past a signed byte
+        (130, tuple(range(130)), 129, None, 0),
+        (130, tuple(range(130)), 259, 3_000, 2),
+    ],
+)
+def test_walk_redoes_the_census_with_wide_tables(
+    monkeypatch, block, k, table, bound, n_max, deepest
+):
+    monkeypatch.setattr("zorbit.dynamics._BLOCK", block)
+    assert check_walk_against_orbits(k, table, bound, n_max) == deepest
 
 
 # -- fixed points ------------------------------------------------------------
