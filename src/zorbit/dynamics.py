@@ -177,17 +177,12 @@ def _walk(
     ``cycle_id`` holds -1 for unresolved nodes and -2 for nodes on the walk in
     progress, so a walk that meets its own path has closed a new cycle; then it
     indexes ``found`` at the cycle n ends in, and ``depth[n]`` counts the steps
-    n takes to enter it.  A block's digits depend only on its shape (offset in
-    its row and length), so each shape's ``itemgetter`` and its nodes sorted by
-    digit are built once: the images not below lo are a bisection away, and a
-    walk starts at each that is unresolved at its turn.  The block then gathers
-    both tables from memoryviews that start at z(c), adds 1 to the depths,
-    resets its cycle members' depth to 0 and tallies its ids, by ``bytes.count``
-    while there are at most 256 cycles.  Every cycle lies in the box, so its
-    smallest start is the first node of ``cycle_id`` holding its index.  The
-    tables keep the box's rows and every block up to the largest image of any
-    start; a later block is gathered and tallied the same way, skips the table
-    writes and only raises the longest transient.
+    n takes to enter it.  Only a block whose largest image reaches its first
+    node can have an unresolved image, so only such a block looks up where its
+    walks start.  Every cycle lies in the box, so its smallest start is the
+    first node of ``cycle_id`` holding its index.  Each block's ids are tallied
+    by the table width: one-byte tables hold at most 128 cycles, counted by
+    ``bytes.count``, and wide tables by ``Counter.update``.
 
     Both tables take one signed byte per node: a stored block's + 1 is one
     ``bytes.translate`` and its two writes copy bytes.  A depth or cycle id past
@@ -232,43 +227,43 @@ def _resolve(
             hi = min(lo + _BLOCK, row + k, end + 1)
             if (shape := (lo - row, hi - lo) if lo else None) not in shapes:
                 digits = table[lo - row : hi - row] if lo else (0, *table[1:hi])  # z(0) = 0
-                order = sorted(range(hi - lo), key=digits.__getitem__)
                 gather = itemgetter(*digits) if hi - lo > 1 else lambda v, d=digits[0]: (v[d],)
-                shapes[shape] = digits, gather, order, [digits[i] for i in order]
-            digits, gather, order, ranked = shapes[shape]
-            peak = high + ranked[-1]
-            if peak > (bound if lo <= bound else lo - 1):
-                n = lo + order[bisect_left(ranked, ranked[-1])]
-                descent = f"descent violated above certified bound {bound}: z({n}) = {peak}"
-                raise AbsorptionError(f"{left_box} {n}" if n <= bound else descent)
-            for i in sorted(order[bisect_left(ranked, lo - high) :]):  # images not below lo
-                if cycle_id[high + digits[i]] != -1:
-                    continue  # resolved already
-                path: list[int] = []
-                current = high + digits[i]  # the walk starts at the image; the block pulls node i
-                while cycle_id[current] == -1:
-                    cycle_id[current] = -2
-                    path.append(current)
-                    current = step(current)
-                    if current > bound:
-                        raise AbsorptionError(f"{left_box} {path[-1]}")
-                cid = cycle_id[current]
-                if cid == -2:
-                    entry = path.index(current)
-                    cid = len(found)
-                    found.append(_canonical_rotation(path[entry:]))
-                    for v in path[entry:]:
+                shapes[shape] = digits, gather, sorted(range(hi - lo), key=digits.__getitem__)
+            digits, gather, order = shapes[shape]
+            peak = high + digits[order[-1]]
+            if peak >= lo:  # else every image lies below lo, so it is resolved already
+                if peak > bound:
+                    n = lo + digits.index(peak - high)  # the first node of the largest digit
+                    descent = f"descent violated above certified bound {bound}: z({n}) = {peak}"
+                    raise AbsorptionError(f"{left_box} {n}" if n <= bound else descent)
+                for i in sorted(order[bisect_left(order, lo - high, key=digits.__getitem__) :]):
+                    if cycle_id[high + digits[i]] != -1:
+                        continue  # resolved already
+                    path: list[int] = []
+                    current = high + digits[i]  # a walk starts at the image; the block pulls i
+                    while cycle_id[current] == -1:
+                        cycle_id[current] = -2
+                        path.append(current)
+                        current = step(current)
+                        if current > bound:
+                            raise AbsorptionError(f"{left_box} {path[-1]}")
+                    cid = cycle_id[current]
+                    if cid == -2:
+                        entry = path.index(current)
+                        cid = len(found)
+                        found.append(_canonical_rotation(path[entry:]))
+                        for v in path[entry:]:
+                            cycle_id[v] = cid
+                            heappush(members, v)
+                        del path[entry:]
+                    steps = depth[current]
+                    for v in reversed(path):
+                        steps += 1
+                        depth[v] = steps
                         cycle_id[v] = cid
-                        heappush(members, v)
-                    del path[entry:]
-                steps = depth[current]
-                for v in reversed(path):
-                    steps += 1
-                    depth[v] = steps
-                    cycle_id[v] = cid
             with memoryview(cycle_id) as id_view, memoryview(depth) as depth_view:
                 block_ids, block_depths = gather(id_view[high:]), gather(depth_view[high:])
-            if len(found) <= 256:  # every id fits a byte, and bytes count one in C
+            if typecode == "b":  # at most 128 cycles: bytes count each id in C
                 tally = bytes(block_ids)
                 for cid in range(len(found)):
                     counts[cid] += tally.count(cid)
@@ -276,7 +271,7 @@ def _resolve(
                 counts.update(block_ids)
             if lo > keep:  # counted only; a stored block slicing past the end appends
                 longest = max(longest, max(block_depths) + 1)
-            elif typecode == "b":  # at most 128 cycles, so tally holds the ids
+            elif typecode == "b":
                 plus = bytes(block_depths).translate(_PLUS_ONE)
                 if 128 in plus:  # the byte would read back as -128
                     raise OverflowError("depth past 127 in a one-byte table")

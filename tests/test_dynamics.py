@@ -311,8 +311,9 @@ def test_walk_finds_published_digit_power_cycles(exponent):
         (10, lambda a: a * a, 50, "step left the certified box [0, 50] from 9"),
         # the walk's check: 1 -> 55 passes, but z(55) = 60 lies outside [0, 59]
         (10, lambda a: {1: 55, 5: 30}.get(a, 0), 59, "step left the certified box [0, 59] from 55"),
-        # the descent check: [0, 9] maps into itself, but z(11) = 18 > 11
-        (10, lambda a: 9 if a else 0, 9, "descent violated above certified bound 9"),
+        # the descent check: [0, 9] maps into itself, but z(11) = 18 > 11; digits 1-9
+        # tie for the largest, and the first node of the tie is named
+        (10, lambda a: 9 if a else 0, 9, "descent violated above certified bound 9: z(11) = 18"),
         # descent is not enough: z(19) = 14 < 19, but the row [10, 20) must map below 10
         (
             10,
@@ -407,7 +408,7 @@ def check_walk_against_orbits(
 STEP_DOWN = (0, *range(199))  # n -> n - 1 on one digit: n takes n steps to the fixed point 0
 
 
-@pytest.mark.parametrize("block", [4096, 7])
+@pytest.mark.parametrize("block", [4096, 7, 1])
 @pytest.mark.parametrize(
     "k,table,bound,n_max,deepest",
     [
