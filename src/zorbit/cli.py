@@ -9,9 +9,9 @@ Each setting comes from its flag, else the --config file (ZORBIT_MAX_STEPS
 for the step budget), else its default, always through the flag's own
 parser.  Error messages on stderr clip long echoed input.
 
-Exit codes: 0 pass, 1 verification failure, 2 usage/IO error or out of
-memory, 3 precondition (hypothesis condition) failure, 130 interrupted
-(Ctrl-C).
+Exit codes: 0 pass (or Theorem 2's classification), 1 verification
+failure, 2 usage/IO error or out of memory, 3 precondition (hypothesis
+condition) failure, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -465,20 +465,18 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> _Result:
         rows = [[theorem, params.k, params.p, payload["failed_conditions"]]]
         return _Result(EXIT_PRECONDITION, "verify", echo, payload, columns, rows, lines)
     echo["n_max"] = str(n_max)
-    passed = report.passed
     payload = {"theorem": theorem, "n_max": str(n_max)}
     columns = ["theorem", "k", "p", "n_max"]
     lead = [theorem, params.k, params.p, payload["n_max"]]
-    lines = [
-        f"verify theorem {theorem} k={params.k} p={params.p} n_max={n_max}: "
-        + ("pass" if passed else "FAIL")
-    ]
+    header = f"verify theorem {theorem} k={params.k} p={params.p} n_max={n_max}"
     if theorem == 1:
         trace = report.counterexample
         counter = None
         if trace is not None:
             counter = {"start": str(trace.values[0]), **_orbit_payload(trace.values, params, trace)}
-        payload["passed"] = passed
+        code = EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
+        lines = [header + (": pass" if report.passed else ": FAIL")]
+        payload["passed"] = report.passed
         payload["census"] = _census_payload(report.census)
         payload["counterexample"] = counter
         columns += ["passed", "counterexample_start"]
@@ -489,8 +487,9 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> _Result:
         )
         if counter is not None:
             lines.append(f"  counterexample start: {counter['start']}")
-    else:
-        payload["all_orbits_terminated"] = report.all_orbits_terminated
+    else:  # a classification, no verdict: exit 0 as census does
+        code = EXIT_OK
+        lines = [header]
         payload["census"] = _census_payload(report.census)
         payload["classification"] = [
             {
@@ -502,13 +501,9 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> _Result:
         ]
         columns += ["cycle", "label", "basin_size"]
         rows = [[*lead, *entry.values()] for entry in payload["classification"]]
-        lines.append(
-            "  all orbits terminated in a census cycle: " + _cell(report.all_orbits_terminated)
-        )
         for entry in report.classification:
             values = _joined(entry.cycle.values, " -> ")
             lines.append(f"  {entry.label}: {values} (basin {entry.cycle.basin_size})")
-    code = EXIT_OK if passed else EXIT_VERIFICATION_FAILED
     return _Result(code, "verify", echo, payload, columns, rows, lines)
 
 
@@ -619,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("orbit", _cmd_orbit, [common, pair], "trace the orbit of one value to its first repeat"),
         ("check", _cmd_check, [common, pair], "evaluate parameter conditions (a), (b), (c)"),
         ("census", _cmd_census, [common, pair], "enumerate all cycles with basin sizes"),
-        ("verify", _cmd_verify, [common, pair], "decide Theorem 1 or 2 for every start n >= 1"),
+        ("verify", _cmd_verify, [common, pair], "decide Theorem 1; Theorem 2 classifies cycles"),
         ("sweep", _cmd_sweep, [common], "evaluate a grid of (k, p) cells"),
     ):
         commands[name] = sub.add_parser(name, parents=parents, help=summary)

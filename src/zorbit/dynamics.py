@@ -203,8 +203,11 @@ def _resolve(
     """One pass of ``_walk`` with both tables of array ``typecode``."""
     end = bound if n_max is None else max(bound, n_max)
     size = min(bound // k * k + k, end + 1)  # the box's rows: walks may start in all of them
-    cycle_id = array(typecode, [-1]) * size  # allocate first: a box past the address space
-    depth = array(typecode, [0]) * size  # fails at once, before the digit table
+    try:  # allocate first: a box past the address space fails at once, before the digit table
+        cycle_id = array(typecode, [-1]) * size
+        depth = array(typecode, [0]) * size
+    except OverflowError:  # size past PY_SSIZE_T_MAX: _walk would take it for a depth past 127
+        raise MemoryError(f"a box of {size} nodes is past the address space") from None
     table = tuple(map(digit, range(k)))
     keep = max(size - 1, digit_count(end, k) * max(table))  # no start's image lies above
 
@@ -316,7 +319,9 @@ def classify_cycle(cycle: Cycle) -> str:
 class Lemma2Report:
     """Exact certificate of the digit shrink z(n) < k**(m-1) for every m >= 3.
 
-    ``peak`` is the largest transform of any 3-digit value.
+    ``peak`` is the largest transform of any 3-digit value, and ``passed``
+    whether it lies below k**2: true under condition (a), false at (4, 2)
+    and (6, 2).
     """
 
     params: Params
@@ -327,14 +332,6 @@ class Lemma2Report:
         return self.peak < self.params.k**2
 
 
-def _require_a(params: Params) -> None:
-    """The precondition gate of the verifiers that need condition (a) alone."""
-    if not check_a(params):
-        raise PreconditionError(
-            f"condition (a) fails for k={params.k}, p={params.p}", failed=("a",)
-        )
-
-
 def verify_lemma2(params: Params) -> Lemma2Report:
     """Decide whether every value with m >= 3 digits shrinks below k**(m-1).
 
@@ -342,9 +339,13 @@ def verify_lemma2(params: Params) -> Lemma2Report:
     ``z_upper_bound(m, params)``, attained when every digit is t*p + 1
     (nonzero and below k).  So m = 3 decides every m: from one m to the
     next the cap grows by (m+1)/m <= 2 < k, while k**(m-1) grows by k.
-    Requires condition (a), under which the certificate always passes.
+
+    Decided on every cell: ``passed`` equals ``absorbing_bound(params) < k**2``,
+    that is, the box has at most two digits.  With S = max_digit_step,
+    3*S < k**2 leaves M <= 2 and B <= max(k - 1, 2*S), and 3*S >= k**2 makes
+    M >= 3.  As t <= (k-2)/2, 3*S <= 3k(k+2)/4 < k**2 once k > 6, so it fails
+    only at (4, 2) and (6, 2), found by checking every k <= 6.
     """
-    _require_a(params)
     return Lemma2Report(params=params, peak=z_upper_bound(3, params))
 
 
@@ -403,34 +404,31 @@ class CycleClassification:
 class Theorem2Report:
     """Census classification under condition (a) alone.
 
-    ``passed`` is ``all_orbits_terminated``, which is always true: the census
-    counts each start of [0, max(B, n_max)] exactly once, or raises
-    AbsorptionError.  The substantive answer is the classification table
-    (non-{1,2} cycles need not be fixed points; no shape claim is made).
+    It holds no verdict: the answer is the classification table, each census
+    cycle with its label (non-{1,2} cycles need not be fixed points; no
+    shape claim is made).
     """
 
     params: Params
     n_max: int
     census: CycleCensus
     classification: tuple[CycleClassification, ...]
-    all_orbits_terminated: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.all_orbits_terminated
 
 
 def verify_theorem2(params: Params, n_max: int) -> Theorem2Report:
     """Census and classify every cycle reachable from [1, n_max].
 
-    Requires condition (a) only.  Each cycle is labelled as the universal
-    {1, 2} cycle, a fixed point, the degenerate zero, or other.
+    Requires condition (a) only; otherwise raises PreconditionError.  Each
+    cycle is labelled as the universal {1, 2} cycle, a fixed point, the
+    degenerate zero, or other.  Nothing is decided: the census counts each
+    start of [0, max(B, n_max)] exactly once, or raises AbsorptionError.
     """
     _check_int("n_max", n_max, 1)
-    _require_a(params)
+    if not check_a(params):
+        raise PreconditionError(
+            f"condition (a) fails for k={params.k}, p={params.p}", failed=("a",)
+        )
     census = _census(params, n_max)[0]
-    lo, hi = census.scanned_range
-    terminated = sum(c.basin_size for c in census.cycles) == hi - lo + 1
     classification = tuple(
         CycleClassification(cycle=c, label=classify_cycle(c)) for c in census.cycles
     )
@@ -439,7 +437,6 @@ def verify_theorem2(params: Params, n_max: int) -> Theorem2Report:
         n_max=n_max,
         census=census,
         classification=classification,
-        all_orbits_terminated=terminated,
     )
 
 

@@ -292,7 +292,10 @@ def test_verify_theorem1_precondition_exit_3():
 def test_verify_theorem2_classification_exit_0():
     result = run_cli("verify", "--theorem", "2", "--k", "10", "--p", "5", "--n-max", "8512")
     assert result.returncode == 0
-    payload = json.loads(result.stdout)["payload"]
+    envelope = json.loads(result.stdout)
+    assert envelope["status"] == "ok"
+    payload = envelope["payload"]
+    assert set(payload) == {"theorem", "n_max", "census", "classification"}
     labels = {tuple(entry["cycle"]): entry["label"] for entry in payload["classification"]}
     assert labels[("1", "2")] == "universal_2cycle"
     assert labels[("6",)] == "fixed_point"
@@ -660,13 +663,15 @@ def test_memory_error_and_interrupt_exit_codes(monkeypatch, capsys, raised, code
     assert captured.err == message
 
 
-def test_census_past_the_address_space_exits_2_at_once(monkeypatch, capsys):
-    # B ~ 4.1e18: the box allocation fails before any digit is mapped
+@pytest.mark.parametrize("p", ["3", "2"])
+def test_census_past_the_address_space_exits_2_at_once(monkeypatch, capsys, p):
+    # B ~ 4.1e18 at p = 3, and B = 2**63 + 2**32, past PY_SSIZE_T_MAX, at
+    # p = 2: the box allocation fails before any digit is mapped
     def never(*_):
         raise AssertionError("digit table built before the box was allocated")
 
     monkeypatch.setattr("zorbit.dynamics.digit_step", never)
-    assert cli.main(["census", "--k", "4294967296", "--p", "3"]) == 2
+    assert cli.main(["census", "--k", "4294967296", "--p", p]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "zorbit: error: out of memory\n"

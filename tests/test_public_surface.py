@@ -86,7 +86,7 @@ PUBLIC_SIGNATURES = {
         "error",
     ),
     "Theorem1Report": ("params", "n_max", "passed", "counterexample", "census"),
-    "Theorem2Report": ("params", "n_max", "census", "classification", "all_orbits_terminated"),
+    "Theorem2Report": ("params", "n_max", "census", "classification"),
     "ZorbitError": None,
     "absorbing_bound": ("params",),
     "check_a": ("params",),
