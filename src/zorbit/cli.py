@@ -43,7 +43,7 @@ from .errors import (
     ZorbitError,
 )
 from .hypothesis import HypothesisReport, check_all
-from .kadic import to_digits
+from .kadic import _join_blocks, _leaf_chunks, to_digits
 from .transform import DEFAULT_MAX_STEPS, OrbitTrace, Params, digit_step, orbit
 
 SCHEMA_VERSION = "1"
@@ -96,11 +96,30 @@ class _Parser(argparse.ArgumentParser):
         super().error(_clip(message))
 
 
+# A plain decimal text: ASCII digits, an optional sign, ASCII blanks around.
+_PLAIN_DECIMAL = re.compile(r"\s*([+-]?)(\d+)\s*", re.ASCII)
+_BLOCK_DIGITS = 300  # below the leaf size, where int() is still fast
+
+
 def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    """``int(text)``, with a long plain decimal text read in blocks.
+
+    ``int()`` of a decimal text is quadratic on CPython 3.11 (6-9 s at 10**6
+    digits on x86-64); blocks of ``_BLOCK_DIGITS`` digits joined pairwise
+    take about 1 s there.
+    Any other text, and every error, is ``int()``'s own.
+    """
+    plain = _PLAIN_DECIMAL.fullmatch(text)
+    if plain is None or len(plain[2]) <= _BLOCK_DIGITS:
+        try:
+            return int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    sign, digits = plain.groups()
+    ends = range(len(digits), 0, -_BLOCK_DIGITS)
+    blocks = [int(digits[max(0, end - _BLOCK_DIGITS) : end]) for end in ends]
+    value = _join_blocks(blocks, 10**_BLOCK_DIGITS)
+    return -value if sign == "-" else value
 
 
 def _int_at_least(text: str, low: int, requirement: str) -> int:
@@ -304,16 +323,24 @@ def _hypothesis_payload(report: HypothesisReport) -> dict:
     }
 
 
+def _decimal(n: int) -> str:
+    """``str(n)`` for ``n >= 0``, written from the base-10 leaves of the digit
+    split: subquadratic on a huge ``n``, where ``str()`` is quadratic."""
+    leaves = [str(chunk).zfill(width) for chunk, width in _leaf_chunks(n, 10)]
+    return "".join(reversed(leaves))
+
+
 def _trace_steps(values, params: Params) -> list[dict]:
     steps = []
     for index, value in enumerate(values):
         digits = list(to_digits(value, params.k))
+        f_of = {d: digit_step(d, params.p) for d in set(digits)}  # at most k distinct digits
         steps.append(
             {
                 "step": index,
-                "value": str(value),
+                "value": _decimal(value),
                 "digits": digits,
-                "f_values": [digit_step(d, params.p) for d in digits],
+                "f_values": [f_of[d] for d in digits],
             }
         )
     return steps
@@ -361,8 +388,6 @@ def _params_echo(params: Params) -> dict:
 def _cmd_orbit(args: argparse.Namespace, config: dict[str, str]) -> _Result:
     params = _params_from(args, config)
     max_steps = _setting(args, os.environ, ENV_MAX_STEPS, _positive_int, DEFAULT_MAX_STEPS)
-    echo = _params_echo(params)
-    echo.update({"n": str(args.n), "max_steps": max_steps})
     try:
         trace = orbit(args.n, params, max_steps=max_steps)
     except BudgetExceededError as exc:
@@ -370,6 +395,8 @@ def _cmd_orbit(args: argparse.Namespace, config: dict[str, str]) -> _Result:
     else:
         payload = _orbit_payload(trace.values, params, trace)
     steps, cycle = payload["trace"], payload["cycle"]
+    echo = _params_echo(params)
+    echo.update({"n": steps[0]["value"], "max_steps": max_steps})  # step 0 is n
     preperiod, cycle_len = payload["preperiod_length"], payload["cycle_length"]
     lines = [f"orbit n={steps[0]['value']} (k={params.k}, p={params.p})"]
     for step in steps:

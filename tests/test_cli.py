@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import io
@@ -164,6 +165,87 @@ def test_orbit_hundred_thousand_digit_start_json():
     assert trace[0]["digits"] == [int(c) for c in reversed(start)]
     # The digit 0 maps to 0, so z is the sum of the oracle over single digits.
     assert trace[1]["value"] == str(sum(z_by_digit_sum(int(c), 10, 5) for c in start))
+
+
+# Base-10 leaves of the digit split hold 256 digits, blocks of the parse 300.
+TEXT_LENGTHS = [1, 255, 256, 257, 299, 300, 301, 308, 309, 310, 511, 512, 513]
+TEXT_LENGTHS += [599, 600, 601, 767, 768, 769, 1023, 1024, 1025, 2048, 2049, 4096, 4300]
+
+
+@st.composite
+def decimal_texts(draw) -> str:
+    """Digit texts without a sign: random, mostly zeros, or 10**e + {-1, 0, 1}."""
+    length = draw(st.sampled_from(TEXT_LENGTHS))
+    kind = draw(st.sampled_from(["random", "zero runs", "near power"]))
+    if kind == "near power":
+        return str(max(0, 10 ** (length - 1) + draw(st.sampled_from([-1, 0, 1]))))
+    if kind == "random":
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        return "".join(rng.choices("0123456789", k=length))
+    digits = ["0"] * length  # whole leaves and blocks of zeros between few nonzero digits
+    for place in draw(st.lists(st.integers(0, length - 1), max_size=3)):
+        digits[place] = draw(st.sampled_from("123456789"))
+    return "".join(digits)
+
+
+@given(decimal_texts())
+@example("0" * 4_300)
+@example("1" + "0" * 4_299)
+@settings(max_examples=300, deadline=None)
+def test_long_decimal_text_is_written_as_str_writes_it(text):
+    n = int(text)
+    assert cli._decimal(n) == str(n)
+
+
+@given(
+    decimal_texts(),
+    st.sampled_from(["", "+", "-"]),
+    st.sampled_from(["", " ", "\t\n", "\f \r\v"]),
+    st.sampled_from(["", " ", "\n"]),
+)
+@example("0" * 4_300, "-", "", "")
+@example("0" * 299 + "1", "+", " ", " ")
+@settings(max_examples=300, deadline=None)
+def test_long_decimal_text_is_read_as_int_reads_it(text, sign, before, after):
+    text = before + sign + text + after
+    assert cli._int(text) == int(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("1_000_" * 200 + "1", id="underscores"),
+        pytest.param("\u0661\u0662\u0663" * 200, id="arabic-indic-digits"),
+        pytest.param("\uff17" * 400, id="full-width-digits"),
+        pytest.param("\u2003" + "7" * 400 + "\u00a0", id="non-ascii-blanks"),
+        pytest.param("  -" + "0" * 350 + "42\n", id="leading-zeros"),
+        pytest.param("7" * 300, id="one-block"),
+    ],
+)
+def test_other_integer_texts_keep_the_value_of_int(text):
+    assert cli._int(text) == int(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        *["", "12a", "1__0", "-", "+-1", " "],
+        pytest.param("7" * 400 + "a", id="long-then-letter"),
+        pytest.param("1" * 400 + "_", id="long-then-underscore"),
+        pytest.param("--" + "7" * 400, id="long-two-signs"),
+    ],
+)
+def test_texts_int_rejects_keep_their_error(text, capsys):
+    with pytest.raises(ValueError):
+        int(text)
+    with pytest.raises(argparse.ArgumentTypeError) as caught:
+        cli._int(text)
+    assert str(caught.value) == f"expected an integer, got {text!r}"
+    with pytest.raises(SystemExit) as stopped:
+        cli.main(["orbit", "--k", "10", "--p", "5", "--", text])
+    assert stopped.value.code == 2
+    message = cli._clip(f"argument n: expected an integer, got {text!r}")
+    assert f"zorbit orbit: error: {message}\n" in capsys.readouterr().err
 
 
 def test_main_in_process_accepts_long_start_and_restores_digit_limit():

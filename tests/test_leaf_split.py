@@ -9,14 +9,22 @@ size and aim at the splitter's edges: powers ``k**m`` and their
 neighbours at power-of-two ``m`` (where the squares ``k**(w * 2**i)`` it
 divides by sit), and long runs of zero digits (zero halves that must be
 padded, never trimmed, unless nothing nonzero lies above them).
+
+The split's divisions recurse (``_div2n1n``) only above ``_DIV_LIMIT``
+bits, past the values the oracles can afford, so the recursion is tested
+with the limit lowered: against the builtin ``divmod`` on its own, and
+through the digit and ``z`` properties once more.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from unittest import mock
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zorbit.kadic import _LEAF_BITS, digit_count, from_digits, to_digits
+from zorbit import kadic
+from zorbit.kadic import _LEAF_BITS, _div2n1n, digit_count, from_digits, to_digits
 from zorbit.transform import Params, z_transform
 
 from oracles import digits_by_divmod, z_by_digit_sum
@@ -55,14 +63,17 @@ def huge(k: int):
 base_and_value = bases.flatmap(lambda k: st.tuples(st.just(k), huge(k)))
 
 
-@given(base_and_value)
-@settings(max_examples=300, deadline=None)
-def test_to_digits_matches_divmod_oracle(case):
-    k, n = case
+def check_digits(k: int, n: int) -> None:
     digits = to_digits(n, k)
     assert list(digits) == digits_by_divmod(n, k)
     assert from_digits(digits) == n
     assert digit_count(n, k) == len(digits_by_divmod(n, k))
+
+
+@given(base_and_value)
+@settings(max_examples=300, deadline=None)
+def test_to_digits_matches_divmod_oracle(case):
+    check_digits(*case)
 
 
 @given(base_and_value, moduli)
@@ -70,3 +81,55 @@ def test_to_digits_matches_divmod_oracle(case):
 def test_z_transform_matches_digit_sum_oracle(case, p):
     k, n = case
     assert z_transform(n, Params(k, p)) == z_by_digit_sum(n, k, p)
+
+
+# -- the recursive division ---------------------------------------------------
+
+LOW_LIMIT = 64  # every division of the properties above recurses a few levels
+
+
+def low_limit():
+    return mock.patch.object(kadic, "_DIV_LIMIT", LOW_LIMIT)
+
+
+@st.composite
+def division(draw) -> tuple[int, int, int]:
+    """``(a, b, n)`` with ``b`` of exactly ``n`` bits and ``0 <= a < b << n``."""
+    n = draw(st.integers(min_value=LOW_LIMIT + 1, max_value=40 * LOW_LIMIT))
+    low, high = 1 << (n - 1), (1 << n) - 1
+    b = draw(st.one_of(st.just(low), st.just(high), st.integers(low, high)))
+    top = (b << n) - 1
+    # Quotients near 2**n make the top half-blocks of a and b equal.
+    a = draw(st.one_of(st.just(top), st.integers(0, top), st.integers(top - b, top)))
+    return a, b, n
+
+
+@given(division())
+# The largest a over an all-ones b: the top half-blocks of a and b are equal.
+@example((((2**1024 - 1) << 1024) - 1, 2**1024 - 1, 1024))
+# The largest a over a power of two (b2 = 0) of odd length: a and b are padded.
+@example(((2**1000 << 1001) - 1, 2**1000, 1001))
+# The quotient estimate overshoots, and an odd length deeper down pads.
+@example((3**1400 % (3**701 << 1112), 3**701, 1112))
+# All three: padding, equal top half-blocks and the correction.
+@example((((2**600 + 2**300 - 1) << 601) - 2**599, 2**600 + 2**300 - 1, 601))
+@settings(max_examples=300, deadline=None)
+def test_div2n1n_matches_builtin_divmod(case):
+    a, b, n = case
+    with low_limit():
+        assert _div2n1n(a, b, n) == divmod(a, b)
+
+
+@given(base_and_value)
+@settings(max_examples=300, deadline=None)
+def test_to_digits_matches_divmod_oracle_through_the_recursion(case):
+    with low_limit():
+        check_digits(*case)
+
+
+@given(base_and_value, moduli)
+@settings(max_examples=300, deadline=None)
+def test_z_transform_matches_digit_sum_oracle_through_the_recursion(case, p):
+    k, n = case
+    with low_limit():
+        assert z_transform(n, Params(k, p)) == z_by_digit_sum(n, k, p)

@@ -1,9 +1,11 @@
 """Source rules: no line over 100 characters; one home for the digit check
-and one for the CLI's spelling of true and false."""
+and one for the CLI's spelling of true and false; only the standard library
+and the package itself are imported."""
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 LIMIT = 100
@@ -54,3 +56,21 @@ def test_cli_spells_true_and_false_only_in_the_cell_rule():
         node for node in cli.body if isinstance(node, ast.FunctionDef) and node.name == "_cell"
     ]
     assert spellings(cell) == spellings(cli) == ["false", "true"]
+
+
+def test_imports_are_relative_or_from_the_standard_library():
+    foreign = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.relative_to(SOURCE)}:{node.lineno}: {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert not foreign, "\n".join(foreign)
