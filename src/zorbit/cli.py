@@ -648,7 +648,9 @@ def build_parser() -> argparse.ArgumentParser:
         commands[name].set_defaults(handler=handler)
 
     commands["orbit"].add_argument(
-        "n", type=_nonneg_int, help="starting value (nonnegative decimal, any size)"
+        "n",
+        type=_nonneg_int,
+        help="starting value (nonnegative decimal, up to 131 071 characters on Linux)",
     )
     commands["orbit"].add_argument(
         "--max-steps",

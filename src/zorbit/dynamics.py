@@ -9,17 +9,19 @@ parameter sweeps) reduces to finite, exhaustively checked computation
 inside the box.
 
 One engine serves them all: ``_walk``, keyed by the digit map alone,
-resolves every start in one pass, row by row, pulling most nodes' cycle and
-depth (steps to that cycle) from their images ``z(c*k + a) = z(c) + digit(a)``
-by one C-level gather and tally per block, so a node costs about the same
-whatever the digit map.  Both tables take one signed byte per node, and a
-stored block adds 1 to its depths by one ``bytes.translate``; a depth or
-cycle id past 127 sends the census back for one pass with 4- or 8-byte
-tables.  Above the box every image lies below its row, so the pull alone
-resolves those rows; blocks past the stored tables skip only the table
-writes, and basins and the longest transient are counted in the same pass.
-``_census`` feeds it ``digit_step`` and ``absorbing_bound`` and picks
-the Theorem 1 witness by ``classify_cycle``; ``cycle_census``,
+resolves every start in one pass, row by row, pulling most nodes' cycle
+from their images ``z(c*k + a) = z(c) + digit(a)`` by one C-level gather and
+tally per block, so a node costs about the same whatever the digit map.  The
+cycle-id table takes one signed byte per node.  Only ``sweep`` reads
+transients, so only it asks for a depth table (steps to the cycle) of the
+same width, whose stored blocks add 1 by one ``bytes.translate``; every
+other caller resolves the box with the id table alone.  A cycle id past 127,
+or with transients a depth past 127, sends the census back for one pass
+with 4- or 8-byte tables.  Above the box every image lies below its row, so
+the pull alone resolves those rows; blocks past the stored tables skip only
+the table writes, and basins and the longest transient are counted in the
+same pass.  ``_census`` feeds it ``digit_step`` and ``absorbing_bound`` and
+picks the Theorem 1 witness by ``classify_cycle``; ``cycle_census``,
 ``fixed_points``, both verifiers and ``sweep`` all read their answers from it.
 """
 
@@ -143,16 +145,21 @@ def cycle_census(params: Params, extra_range: int | None = None) -> CycleCensus:
     """
     if extra_range is not None:
         _check_int("extra_range", extra_range, 0)
-    return _census(params, extra_range)[0]
+    return _census(params, extra_range, transients=False)[0]
 
 
-def _census(params: Params, n_max: int | None) -> tuple[CycleCensus, int, int | None]:
+def _census(
+    params: Params, n_max: int | None, transients: bool
+) -> tuple[CycleCensus, int | None, int | None]:
     """The census of [0, max(B, n_max)], the longest transient in [1, n_max]
-    (``n_max`` defaults to B), and the witness: the smallest start n >= 1
-    whose orbit ends in a positive cycle other than {1, 2}, or None.
+    (``n_max`` defaults to B; None unless ``transients``), and the witness:
+    the smallest start n >= 1 whose orbit ends in a positive cycle other than
+    {1, 2}, or None.  Only a caller that reads the longest transient passes
+    ``transients``: without it the census keeps no depth table.
     """
     bound = absorbing_bound(params)
-    cycles, firsts, longest = _walk(params.k, partial(digit_step, p=params.p), bound, n_max)
+    digit = partial(digit_step, p=params.p)
+    cycles, firsts, longest = _walk(params.k, digit, bound, n_max, transients)
     offending = (LABEL_FIXED_POINT, LABEL_OTHER)
     starts = [n for c, n in zip(cycles, firsts) if classify_cycle(c) in offending]
     hi = bound if n_max is None else max(bound, n_max)
@@ -161,11 +168,12 @@ def _census(params: Params, n_max: int | None) -> tuple[CycleCensus, int, int | 
 
 
 def _walk(
-    k: int, digit: Callable[[int], int], bound: int, n_max: int | None
-) -> tuple[tuple[Cycle, ...], tuple[int, ...], int]:
+    k: int, digit: Callable[[int], int], bound: int, n_max: int | None, transients: bool
+) -> tuple[tuple[Cycle, ...], tuple[int, ...], int | None]:
     """Every cycle of n -> sum of ``digit(a)`` over the base-k digits a of n,
     with basins over [0, end], end = max(bound, n_max); each cycle's smallest
-    start, in the same order; and the longest transient in [1, n_max] (default bound).
+    start, in the same order; and the longest transient in [1, n_max] (default
+    bound) if ``transients``, else None.
 
     Contract: ``digit`` is any nonnegative map on 0..k-1, and ``bound`` is
     absorbing as ``absorbing_bound`` proves it: [0, bound] maps into itself,
@@ -176,36 +184,45 @@ def _walk(
     one above it maps below its first node, or AbsorptionError is raised.
     ``cycle_id`` holds -1 for unresolved nodes and -2 for nodes on the walk in
     progress, so a walk that meets its own path has closed a new cycle; then it
-    indexes ``found`` at the cycle n ends in, and ``depth[n]`` counts the steps
-    n takes to enter it.  Only a block whose largest image reaches its first
-    node can have an unresolved image, so only such a block looks up where its
-    walks start.  Every cycle lies in the box, so its smallest start is the
-    first node of ``cycle_id`` holding its index.  Each block's ids are tallied
-    by the table width: one-byte tables hold at most 128 cycles, counted by
+    indexes ``found`` at the cycle n ends in.  With ``transients`` a second
+    table, ``depth[n]``, counts the steps n takes to enter it; without them no
+    depth is gathered, added to, written or reset, and the longest transient is
+    not taken.  Only a block whose largest image reaches its first node can
+    have an unresolved image, so only such a block looks up where its walks
+    start.  Every cycle lies in the box, so its smallest start is the first
+    node of ``cycle_id`` holding its index.  Each block's ids are tallied by
+    the table width: one-byte tables hold at most 128 cycles, counted by
     ``bytes.count``, and wide tables by ``Counter.update``.
 
-    Both tables take one signed byte per node: a stored block's + 1 is one
-    ``bytes.translate`` and its two writes copy bytes.  A depth or cycle id past
-    127 raises OverflowError, from a walk's assignment or a translated depth of
-    128, and the census is redone once with wide tables, "i" below 2**31 - 1 and
-    "q" from there, whose + 1 is a list comprehension.
+    Each table takes one signed byte per node: a stored block's + 1 is one
+    ``bytes.translate`` and its writes copy bytes.  A cycle id past 127, or with
+    transients a depth past 127, raises OverflowError, from a walk's assignment
+    or a translated depth of 128, and the census is redone once with wide
+    tables, "i" below 2**31 - 1 and "q" from there, whose + 1 is a list
+    comprehension.
     """
     try:
-        return _resolve(k, digit, bound, n_max, "b")
+        return _resolve(k, digit, bound, n_max, transients, "b")
     except OverflowError:
         pass  # leave the handler first: its traceback holds the one-byte tables
-    return _resolve(k, digit, bound, n_max, "i" if bound < 2**31 - 1 else "q")
+    return _resolve(k, digit, bound, n_max, transients, "i" if bound < 2**31 - 1 else "q")
 
 
 def _resolve(
-    k: int, digit: Callable[[int], int], bound: int, n_max: int | None, typecode: str
-) -> tuple[tuple[Cycle, ...], tuple[int, ...], int]:
-    """One pass of ``_walk`` with both tables of array ``typecode``."""
+    k: int,
+    digit: Callable[[int], int],
+    bound: int,
+    n_max: int | None,
+    transients: bool,
+    typecode: str,
+) -> tuple[tuple[Cycle, ...], tuple[int, ...], int | None]:
+    """One pass of ``_walk`` with tables of array ``typecode``: the cycle ids,
+    and the depths if ``transients``."""
     end = bound if n_max is None else max(bound, n_max)
     size = min(bound // k * k + k, end + 1)  # the box's rows: walks may start in all of them
     try:  # allocate first: a box past the address space fails at once, before the digit table
         cycle_id = array(typecode, [-1]) * size
-        depth = array(typecode, [0]) * size
+        depth = array(typecode, [0]) * size if transients else None
     except OverflowError:  # size past PY_SSIZE_T_MAX: _walk would take it for a depth past 127
         raise MemoryError(f"a box of {size} nodes is past the address space") from None
     table = tuple(map(digit, range(k)))
@@ -255,17 +272,26 @@ def _resolve(
                         entry = path.index(current)
                         cid = len(found)
                         found.append(_canonical_rotation(path[entry:]))
-                        for v in path[entry:]:
+                        if depth is not None:  # members keep depth 0, reset after their block
+                            for v in path[entry:]:
+                                cycle_id[v] = cid
+                                heappush(members, v)
+                            del path[entry:]
+                    if depth is None:
+                        for v in path:
                             cycle_id[v] = cid
-                            heappush(members, v)
-                        del path[entry:]
-                    steps = depth[current]
-                    for v in reversed(path):
-                        steps += 1
-                        depth[v] = steps
-                        cycle_id[v] = cid
-            with memoryview(cycle_id) as id_view, memoryview(depth) as depth_view:
-                block_ids, block_depths = gather(id_view[high:]), gather(depth_view[high:])
+                    else:
+                        steps = depth[current]
+                        for v in reversed(path):
+                            steps += 1
+                            depth[v] = steps
+                            cycle_id[v] = cid
+            if depth is None:  # the ids alone: no depths to gather, write or reset
+                with memoryview(cycle_id) as id_view:
+                    block_ids = gather(id_view[high:])
+            else:
+                with memoryview(cycle_id) as id_view, memoryview(depth) as depth_view:
+                    block_ids, block_depths = gather(id_view[high:]), gather(depth_view[high:])
             if typecode == "b":  # at most 128 cycles: bytes count each id in C
                 tally = bytes(block_ids)
                 for cid in range(len(found)):
@@ -273,7 +299,10 @@ def _resolve(
             else:
                 counts.update(block_ids)
             if lo > keep:  # counted only; a stored block slicing past the end appends
-                longest = max(longest, max(block_depths) + 1)
+                if depth is not None:
+                    longest = max(longest, max(block_depths) + 1)
+            elif depth is None:
+                cycle_id[lo:hi] = array(typecode, tally if typecode == "b" else block_ids)
             elif typecode == "b":
                 plus = bytes(block_depths).translate(_PLUS_ONE)
                 if 128 in plus:  # the byte would read back as -128
@@ -285,13 +314,14 @@ def _resolve(
             while members and members[0] < hi:
                 depth[heappop(members)] = 0
 
-    top = bound if n_max is None else n_max
-    longest = max(longest, max(islice(depth, 1, top + 1), default=0))  # a slice would copy
+    if depth is not None:
+        top = bound if n_max is None else n_max
+        longest = max(longest, max(islice(depth, 1, top + 1), default=0))  # a slice would copy
     # Cycles are disjoint, so ordering by values orders by minimum element.
     ids = range(len(found))
     ordered = sorted(zip(found, map(counts.__getitem__, ids), map(cycle_id.index, ids)))
     cycles = tuple(Cycle(values=values, basin_size=count) for values, count, _ in ordered)
-    return cycles, tuple(first for _, _, first in ordered), longest
+    return cycles, tuple(first for _, _, first in ordered), None if depth is None else longest
 
 
 def fixed_points(params: Params) -> list[int]:
@@ -384,7 +414,7 @@ def verify_theorem1(params: Params, n_max: int) -> Theorem1Report:
         raise PreconditionError(
             f"condition(s) {names} fail for k={params.k}, p={params.p}", failed=failed
         )
-    census, _, witness = _census(params, n_max)
+    census, _, witness = _census(params, n_max, transients=False)
     return Theorem1Report(
         params=params,
         n_max=n_max,
@@ -428,7 +458,7 @@ def verify_theorem2(params: Params, n_max: int) -> Theorem2Report:
         raise PreconditionError(
             f"condition (a) fails for k={params.k}, p={params.p}", failed=("a",)
         )
-    census = _census(params, n_max)[0]
+    census = _census(params, n_max, transients=False)[0]
     classification = tuple(
         CycleClassification(cycle=c, label=classify_cycle(c)) for c in census.cycles
     )
@@ -468,7 +498,7 @@ def _sweep_cell(cell: tuple[int, int, int]) -> SweepRow:
     try:
         params = Params(k, p)
         hyp = check_all(params)
-        census, max_transient, witness = _census(params, n_max)
+        census, max_transient, witness = _census(params, n_max, transients=True)
         if hyp.satisfied:
             status = THEOREM1_PASS if witness is None else THEOREM1_FAIL
         else:

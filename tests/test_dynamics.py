@@ -22,6 +22,7 @@ from zorbit.dynamics import (
     THEOREM1_PASS,
     THEOREM1_SKIPPED,
     _census,
+    _resolve,
     _walk,
     absorbing_bound,
     classify_cycle,
@@ -210,25 +211,26 @@ def test_tables_past_the_box_stay_box_sized():
     # B = 364: the tables keep [0, 546], up to the largest image of a start,
     # and only count the rest of [0, 100 000]; tables spanning the range
     # would take about 800 kB
-    tracemalloc.start()
-    try:
-        cycle_census(Params(137, 11), 100_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 256 * 1024
+    assert peak_bytes(cycle_census, Params(137, 11), 100_000) < 256 * 1024
 
 
 def test_box_tables_take_one_byte_a_node():
-    # B = 200 344: two tables of 4-byte slots alone would take 8 bytes a node
+    # B = 200 344: the census keeps only the cycle ids, one byte a node, and the
+    # sweep's transients add a depth byte; 4-byte slots alone would take 4 and 8
     params = Params(947, 3)
+    nodes = absorbing_bound(params) + 1
+    assert peak_bytes(cycle_census, params) < 2 * nodes
+    assert peak_bytes(_census, params, None, transients=True) < 4 * nodes
+
+
+def peak_bytes(call, *args, **kwargs) -> int:
+    """The tracemalloc peak of one call."""
     tracemalloc.start()
     try:
-        cycle_census(params)
-        peak = tracemalloc.get_traced_memory()[1]
+        call(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * (absorbing_bound(params) + 1)
 
 
 @st.composite
@@ -267,8 +269,9 @@ def test_census_and_sweep_match_naive_orbits(case):
         if witness is None and set(cycle) not in ({0}, {1, 2}):
             witness = n
     assert {c.values: c.basin_size for c in census.cycles} == dict(tally)
-    assert _census(params, n_max)[2] == witness
+    assert _census(params, n_max, transients=False)[2] == witness
     row = sweep((k, k), (p, p), n_max)[0]
+    assert row.cycles == census.cycles  # the row's pass keeps depths, the census's does not
     assert row.max_transient == longest
     if check_all(params).satisfied:
         assert (row.theorem1_status == THEOREM1_PASS) == (witness is None)
@@ -299,7 +302,7 @@ DIGIT_POWER_CYCLES = {
 @pytest.mark.parametrize("exponent", sorted(DIGIT_POWER_CYCLES))
 def test_walk_finds_published_digit_power_cycles(exponent):
     bound, expected = DIGIT_POWER_CYCLES[exponent]
-    cycles, _, _ = _walk(10, lambda a: a**exponent, bound, None)
+    cycles, _, _ = _walk(10, lambda a: a**exponent, bound, None, transients=False)
     assert [c.values for c in cycles] == expected
     assert sum(c.basin_size for c in cycles) == bound + 1
     if exponent == 2:
@@ -327,8 +330,9 @@ def test_walk_finds_published_digit_power_cycles(exponent):
     ],
 )
 def test_walk_raises_on_a_broken_certificate(k, digit, bound, message):
-    with pytest.raises(AbsorptionError, match=re.escape(message)):
-        _walk(k, digit, bound, 20)
+    for transients in (False, True):
+        with pytest.raises(AbsorptionError, match=re.escape(message)):
+            _walk(k, digit, bound, 20, transients)
 
 
 @pytest.mark.parametrize("block", [1, 2, 7])
@@ -340,28 +344,31 @@ def test_walk_does_not_depend_on_the_block_size(monkeypatch, block):
         k = rng.randrange(3, 9)
         table = tuple(rng.randrange(k * k + 1) for _ in range(k))
         cases.append((k, table.__getitem__, k**4, rng.choice([None, k**4 + 500])))
-    expected = [_walk(*case) for case in cases]
+    expected = [_walk(*case, transients) for case in cases for transients in (False, True)]
     monkeypatch.setattr("zorbit.dynamics._BLOCK", block)
-    assert [_walk(*case) for case in cases] == expected
+    assert [_walk(*case, transients) for case in cases for transients in (False, True)] == expected
 
 
-@pytest.mark.parametrize("block", [4096, 7])
+@pytest.mark.parametrize("block", [4096, 7, 1])
 def test_walk_counts_basins_past_256_cycles(monkeypatch, block):
-    # base-300 digit sums of n <= 299 fix every n: 300 cycles, past a byte's ids
+    # base-300 digit sums of n <= 299 fix every n: 300 cycles, past a byte's ids;
+    # the wide-table redo holds with the depth table and without it
     monkeypatch.setattr("zorbit.dynamics._BLOCK", block)
-    cycles, firsts, longest = _walk(300, lambda a: a, 299, None)
-    assert [c.values for c in cycles] == [(n,) for n in range(300)]
-    assert {c.basin_size for c in cycles} == {1}
-    assert firsts == tuple(range(300))
-    assert longest == 0
-    # box [0, 599], rows 2..10 only counted: a counted block's tally past 256 cycles
-    cycles, firsts, longest = _walk(300, lambda a: a, 599, 3_000)
     orbits = [orbit_by_table(n, 300, range(300)) for n in range(3_001)]
     basins = Counter(canonical_cycle(*orbit) for orbit in orbits)
-    assert {c.values: c.basin_size for c in cycles} == dict(basins)
-    assert len(cycles) == 300 and sum(basins.values()) == 3_001
-    assert firsts == tuple(range(300))
-    assert longest == max(lam for _, lam, _ in orbits[1:]) == 2
+    assert max(lam for _, lam, _ in orbits[1:]) == 2
+    for transients in (False, True):
+        cycles, firsts, longest = _walk(300, lambda a: a, 299, None, transients)
+        assert [c.values for c in cycles] == [(n,) for n in range(300)]
+        assert {c.basin_size for c in cycles} == {1}
+        assert firsts == tuple(range(300))
+        assert longest == (0 if transients else None)
+        # box [0, 599], rows 2..10 only counted: a counted block's tally past 256 cycles
+        cycles, firsts, longest = _walk(300, lambda a: a, 599, 3_000, transients)
+        assert {c.values: c.basin_size for c in cycles} == dict(basins)
+        assert len(cycles) == 300 and sum(basins.values()) == 3_001
+        assert firsts == tuple(range(300))
+        assert longest == (2 if transients else None)
 
 
 @st.composite
@@ -389,8 +396,10 @@ def check_walk_against_orbits(
     k: int, table: tuple[int, ...], bound: int, n_max: int | None
 ) -> int:
     """Check basins, each cycle's smallest start and the longest transient
-    against per-start orbits; return the longest transient."""
-    cycles, firsts, longest = _walk(k, table.__getitem__, bound, n_max)
+    against per-start orbits; return the longest transient.  Without
+    transients the walk must give the same cycles, basins and smallest starts."""
+    cycles, firsts, longest = _walk(k, table.__getitem__, bound, n_max, transients=True)
+    assert _walk(k, table.__getitem__, bound, n_max, transients=False) == (cycles, firsts, None)
     top = bound if n_max is None else n_max
     basins: Counter = Counter()
     first: dict[tuple[int, ...], int] = {}
@@ -428,8 +437,18 @@ STEP_DOWN = (0, *range(199))  # n -> n - 1 on one digit: n takes n steps to the 
 def test_walk_redoes_the_census_with_wide_tables(
     monkeypatch, block, k, table, bound, n_max, deepest
 ):
+    # with transients every case redoes the census; without them only the id cases
     monkeypatch.setattr("zorbit.dynamics._BLOCK", block)
+    passes = []
+
+    def spy(*args):
+        passes.append(args[-2:])  # (transients, typecode)
+        return _resolve(*args)
+
+    monkeypatch.setattr("zorbit.dynamics._resolve", spy)
     assert check_walk_against_orbits(k, table, bound, n_max) == deepest
+    ids_past_127 = table == tuple(range(k))
+    assert passes == [(True, "b"), (True, "i"), (False, "b")] + [(False, "i")] * ids_past_127
 
 
 # -- fixed points ------------------------------------------------------------
@@ -542,7 +561,7 @@ def test_counterexample_starts_at_smallest_offending_start(k, p):
 def test_positive_cycle_verdict_failure_branch():
     # bypass the precondition to exercise the counterexample machinery on
     # parameters that genuinely host an extra cycle
-    witness = _census(Params(5, 3), None)[2]
+    witness = _census(Params(5, 3), None, transients=False)[2]
     assert witness == smallest_offending_start(5, 3) == 4
     assert orbit(witness, Params(5, 3)).values == (4, 6, 4)
 
