@@ -30,7 +30,6 @@ from .hypothesis import (
 from .dynamics import (
     Cycle,
     CycleCensus,
-    CycleClassification,
     Lemma2Report,
     SweepRow,
     Theorem1Report,
@@ -55,7 +54,6 @@ __all__ = [
     "CONGRUENCE",
     "Cycle",
     "CycleCensus",
-    "CycleClassification",
     "DEFAULT_MAX_STEPS",
     "DigitDomainError",
     "EQUALITY",

@@ -31,6 +31,7 @@ from .dynamics import (
     SweepRow,
     THEOREM1_ERROR,
     THEOREM1_FAIL,
+    classify_cycle,
     cycle_census,
     sweep,
     verify_theorem1,
@@ -102,7 +103,7 @@ _BLOCK_DIGITS = 300  # below the leaf size, where int() is still fast
 
 
 def _int(text: str) -> int:
-    """``int(text)``, with a long plain decimal text read in blocks.
+    """``int(text)``, with a plain ASCII decimal text read in blocks.
 
     ``int()`` of a decimal text is quadratic on CPython 3.11 (6-9 s at 10**6
     digits on x86-64); blocks of ``_BLOCK_DIGITS`` digits joined pairwise
@@ -110,7 +111,7 @@ def _int(text: str) -> int:
     Any other text, and every error, is ``int()``'s own.
     """
     plain = _PLAIN_DECIMAL.fullmatch(text)
-    if plain is None or len(plain[2]) <= _BLOCK_DIGITS:
+    if plain is None:
         try:
             return int(text)
         except ValueError:
@@ -520,17 +521,17 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> _Result:
         payload["census"] = _census_payload(report.census)
         payload["classification"] = [
             {
-                "cycle": [str(v) for v in entry.cycle.values],
-                "label": entry.label,
-                "basin_size": entry.cycle.basin_size,
+                "cycle": [str(v) for v in cycle.values],
+                "label": classify_cycle(cycle),
+                "basin_size": cycle.basin_size,
             }
-            for entry in report.classification
+            for cycle in report.census.cycles
         ]
         columns += ["cycle", "label", "basin_size"]
         rows = [[*lead, *entry.values()] for entry in payload["classification"]]
-        for entry in report.classification:
-            values = _joined(entry.cycle.values, " -> ")
-            lines.append(f"  {entry.label}: {values} (basin {entry.cycle.basin_size})")
+        for cycle in report.census.cycles:
+            values = _joined(cycle.values, " -> ")
+            lines.append(f"  {classify_cycle(cycle)}: {values} (basin {cycle.basin_size})")
     return _Result(code, "verify", echo, payload, columns, rows, lines)
 
 

@@ -10,19 +10,20 @@ inside the box.
 
 One engine serves them all: ``_walk``, keyed by the digit map alone,
 resolves every start in one pass, row by row, pulling most nodes' cycle
-from their images ``z(c*k + a) = z(c) + digit(a)`` by one C-level gather and
-tally per block, so a node costs about the same whatever the digit map.  The
-cycle-id table takes one signed byte per node.  Only ``sweep`` reads
+from their images ``z(c*k + a) = z(c) + digit(a)`` by one C-level gather,
+tally and store per block, so a node costs about the same whatever the digit
+map.  The cycle-id table takes one signed byte per node.  Only ``sweep`` reads
 transients, so only it asks for a depth table (steps to the cycle) of the
-same width, whose stored blocks add 1 by one ``bytes.translate``; every
-other caller resolves the box with the id table alone.  A cycle id past 127,
-or with transients a depth past 127, sends the census back for one pass
-with 4- or 8-byte tables.  Above the box every image lies below its row, so
-the pull alone resolves those rows; blocks past the stored tables skip only
-the table writes, and basins and the longest transient are counted in the
-same pass.  ``_census`` feeds it ``digit_step`` and ``absorbing_bound`` and
-picks the Theorem 1 witness by ``classify_cycle``; ``cycle_census``,
-``fixed_points``, both verifiers and ``sweep`` all read their answers from it.
+same width, gathered after the ids, whose stored blocks add 1 by one
+``bytes.translate``; every other caller resolves the box with the id table
+alone.  A cycle id past 127, or with transients a depth past 127, sends the
+census back for one pass with 4- or 8-byte tables.  Above the box every
+image lies below its row, so the pull alone resolves those rows; blocks past
+the stored tables skip only the table writes, and basins and the longest
+transient are counted in the same pass.  ``_census`` feeds it ``digit_step``
+and ``absorbing_bound`` and picks the Theorem 1 witness by ``classify_cycle``;
+``cycle_census``, ``fixed_points``, both verifiers and ``sweep`` all read
+their answers from it.
 """
 
 from __future__ import annotations
@@ -183,16 +184,20 @@ def _walk(
     (0 maps to the empty sum 0): a block that starts in the box maps into it,
     one above it maps below its first node, or AbsorptionError is raised.
     ``cycle_id`` holds -1 for unresolved nodes and -2 for nodes on the walk in
-    progress, so a walk that meets its own path has closed a new cycle; then it
-    indexes ``found`` at the cycle n ends in.  With ``transients`` a second
-    table, ``depth[n]``, counts the steps n takes to enter it; without them no
-    depth is gathered, added to, written or reset, and the longest transient is
-    not taken.  Only a block whose largest image reaches its first node can
-    have an unresolved image, so only such a block looks up where its walks
-    start.  Every cycle lies in the box, so its smallest start is the first
-    node of ``cycle_id`` holding its index.  Each block's ids are tallied by
-    the table width: one-byte tables hold at most 128 cycles, counted by
-    ``bytes.count``, and wide tables by ``Counter.update``.
+    progress, so a walk that meets its own path has closed a new cycle, whose
+    members take their id there and leave the path; then it indexes ``found``
+    at the cycle n ends in.  With ``transients`` a second table, ``depth[n]``,
+    counts the steps n takes to enter it; without them no depth is gathered,
+    added to, written or reset, and the longest transient is not taken.  Only a
+    block whose largest image reaches its first node can have an unresolved
+    image, so only such a block looks up where its walks start: the images at
+    or past that node not resolved already, walked in the order a bisection
+    of the block's nodes sorted by digit returns them.  Every cycle lies in
+    the box, so its smallest start is the first node of ``cycle_id`` holding
+    its index.  Each block's ids are gathered once, tallied by the table width
+    (one-byte tables hold at most 128 cycles, counted by ``bytes.count``, and
+    wide tables by ``Counter.update``) and stored by one copy; its depths
+    follow only when the depth table exists.
 
     Each table takes one signed byte per node: a stored block's + 1 is one
     ``bytes.translate`` and its writes copy bytes.  A cycle id past 127, or with
@@ -256,11 +261,11 @@ def _resolve(
                     n = lo + digits.index(peak - high)  # the first node of the largest digit
                     descent = f"descent violated above certified bound {bound}: z({n}) = {peak}"
                     raise AbsorptionError(f"{left_box} {n}" if n <= bound else descent)
-                for i in sorted(order[bisect_left(order, lo - high, key=digits.__getitem__) :]):
-                    if cycle_id[high + digits[i]] != -1:
-                        continue  # resolved already
-                    path: list[int] = []
+                for i in order[bisect_left(order, lo - high, key=digits.__getitem__) :]:
                     current = high + digits[i]  # a walk starts at the image; the block pulls i
+                    if cycle_id[current] != -1:
+                        continue  # resolved already: cheaper than an empty walk
+                    path: list[int] = []
                     while cycle_id[current] == -1:
                         cycle_id[current] = -2
                         path.append(current)
@@ -272,44 +277,40 @@ def _resolve(
                         entry = path.index(current)
                         cid = len(found)
                         found.append(_canonical_rotation(path[entry:]))
-                        if depth is not None:  # members keep depth 0, reset after their block
-                            for v in path[entry:]:
-                                cycle_id[v] = cid
-                                heappush(members, v)
-                            del path[entry:]
-                    if depth is None:
-                        for v in path:
+                        for v in path[entry:]:
                             cycle_id[v] = cid
-                    else:
+                            if depth is not None:  # members keep depth 0, reset after their block
+                                heappush(members, v)
+                        del path[entry:]
+                    for v in path:
+                        cycle_id[v] = cid
+                    if depth is not None:
                         steps = depth[current]
                         for v in reversed(path):
                             steps += 1
                             depth[v] = steps
-                            cycle_id[v] = cid
-            if depth is None:  # the ids alone: no depths to gather, write or reset
-                with memoryview(cycle_id) as id_view:
-                    block_ids = gather(id_view[high:])
-            else:
-                with memoryview(cycle_id) as id_view, memoryview(depth) as depth_view:
-                    block_ids, block_depths = gather(id_view[high:]), gather(depth_view[high:])
+            with memoryview(cycle_id) as id_view:
+                block_ids = gather(id_view[high:])
             if typecode == "b":  # at most 128 cycles: bytes count each id in C
-                tally = bytes(block_ids)
+                block_ids = bytes(block_ids)
                 for cid in range(len(found)):
-                    counts[cid] += tally.count(cid)
+                    counts[cid] += block_ids.count(cid)
             else:
                 counts.update(block_ids)
-            if lo > keep:  # counted only; a stored block slicing past the end appends
-                if depth is not None:
-                    longest = max(longest, max(block_depths) + 1)
-            elif depth is None:
-                cycle_id[lo:hi] = array(typecode, tally if typecode == "b" else block_ids)
+            if lo <= keep:  # a stored block slicing past the end appends
+                cycle_id[lo:hi] = array(typecode, block_ids)  # one-byte ids: a memcpy
+            if depth is None:
+                continue
+            with memoryview(depth) as depth_view:
+                block_depths = gather(depth_view[high:])
+            if lo > keep:  # counted only
+                longest = max(longest, max(block_depths) + 1)
             elif typecode == "b":
                 plus = bytes(block_depths).translate(_PLUS_ONE)
                 if 128 in plus:  # the byte would read back as -128
                     raise OverflowError("depth past 127 in a one-byte table")
-                cycle_id[lo:hi], depth[lo:hi] = array("b", tally), array("b", plus)  # memcpy
+                depth[lo:hi] = array("b", plus)
             else:
-                cycle_id[lo:hi] = array(typecode, block_ids)
                 depth[lo:hi] = array(typecode, [d + 1 for d in block_depths])
             while members and members[0] < hi:
                 depth[heappop(members)] = 0
@@ -425,32 +426,25 @@ def verify_theorem1(params: Params, n_max: int) -> Theorem1Report:
 
 
 @dataclass(frozen=True)
-class CycleClassification:
-    cycle: Cycle
-    label: str
-
-
-@dataclass(frozen=True)
 class Theorem2Report:
-    """Census classification under condition (a) alone.
+    """Census under condition (a) alone, for classification.
 
-    It holds no verdict: the answer is the classification table, each census
-    cycle with its label (non-{1,2} cycles need not be fixed points; no
+    It holds no verdict: the answer is the census, each of whose cycles
+    ``classify_cycle`` labels (non-{1,2} cycles need not be fixed points; no
     shape claim is made).
     """
 
     params: Params
     n_max: int
     census: CycleCensus
-    classification: tuple[CycleClassification, ...]
 
 
 def verify_theorem2(params: Params, n_max: int) -> Theorem2Report:
-    """Census and classify every cycle reachable from [1, n_max].
+    """Census every cycle reachable from [1, n_max], for classification.
 
-    Requires condition (a) only; otherwise raises PreconditionError.  Each
-    cycle is labelled as the universal {1, 2} cycle, a fixed point, the
-    degenerate zero, or other.  Nothing is decided: the census counts each
+    Requires condition (a) only; otherwise raises PreconditionError.
+    ``classify_cycle`` labels each census cycle as the universal {1, 2}
+    cycle, a fixed point, the degenerate zero, or other.  Nothing is decided: the census counts each
     start of [0, max(B, n_max)] exactly once, or raises AbsorptionError.
     """
     _check_int("n_max", n_max, 1)
@@ -459,15 +453,7 @@ def verify_theorem2(params: Params, n_max: int) -> Theorem2Report:
             f"condition (a) fails for k={params.k}, p={params.p}", failed=("a",)
         )
     census = _census(params, n_max, transients=False)[0]
-    classification = tuple(
-        CycleClassification(cycle=c, label=classify_cycle(c)) for c in census.cycles
-    )
-    return Theorem2Report(
-        params=params,
-        n_max=n_max,
-        census=census,
-        classification=classification,
-    )
+    return Theorem2Report(params=params, n_max=n_max, census=census)
 
 
 @dataclass(frozen=True)

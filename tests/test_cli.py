@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zorbit import cli
+from zorbit.dynamics import _walk
 
 from oracles import z_by_digit_sum
 
@@ -748,12 +749,20 @@ def test_memory_error_and_interrupt_exit_codes(monkeypatch, capsys, raised, code
 @pytest.mark.parametrize("p", ["3", "2"])
 def test_census_past_the_address_space_exits_2_at_once(monkeypatch, capsys, p):
     # B ~ 4.1e18 at p = 3, and B = 2**63 + 2**32, past PY_SSIZE_T_MAX, at
-    # p = 2: the box allocation fails before any digit is mapped
+    # p = 2: the box allocation fails before any digit is mapped, whatever
+    # digit map the census hands the engine
     def never(*_):
         raise AssertionError("digit table built before the box was allocated")
 
-    monkeypatch.setattr("zorbit.dynamics.digit_step", never)
+    walked = []
+
+    def walk(k, _digit, *rest):
+        walked.append(k)
+        return _walk(k, never, *rest)
+
+    monkeypatch.setattr("zorbit.dynamics._walk", walk)
     assert cli.main(["census", "--k", "4294967296", "--p", p]) == 2
+    assert walked == [2**32]
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "zorbit: error: out of memory\n"

@@ -198,13 +198,20 @@ def test_box_past_the_address_space_fails_before_the_digit_table(monkeypatch, p)
     # refuses a one-byte table of about 4.1e18 slots; at p = 2, B = 2**63 + 2**32
     # is past PY_SSIZE_T_MAX, so the size itself overflows.  Either way
     # MemoryError comes at once, before any of the 2**32 digit-table entries
-    # is computed
+    # is computed, whatever digit map _census hands the engine
     def never(*_):
         raise AssertionError("digit table built before the box was allocated")
 
-    monkeypatch.setattr("zorbit.dynamics.digit_step", never)
+    walked = []
+
+    def walk(k, _digit, *rest):
+        walked.append(k)
+        return _walk(k, never, *rest)
+
+    monkeypatch.setattr("zorbit.dynamics._walk", walk)
     with pytest.raises(MemoryError):
         cycle_census(Params(2**32, p))
+    assert walked == [2**32]
 
 
 def test_tables_past_the_box_stay_box_sized():
@@ -568,7 +575,7 @@ def test_positive_cycle_verdict_failure_branch():
 
 def test_verify_theorem2_k5_p3():
     report = verify_theorem2(Params(5, 3), n_max=9_827)
-    labels = {entry.cycle.values: entry.label for entry in report.classification}
+    labels = {c.values: classify_cycle(c) for c in report.census.cycles}
     assert labels[(0,)] == LABEL_ZERO
     assert labels[(1, 2)] == LABEL_UNIVERSAL
     assert labels[(4, 6)] == LABEL_OTHER  # a genuine 2-cycle, not a fixed point
@@ -580,7 +587,7 @@ def test_verify_theorem2_k5_p3():
 
 def test_verify_theorem2_k10_p5():
     report = verify_theorem2(Params(10, 5), n_max=8_512)
-    labels = {entry.cycle.values: entry.label for entry in report.classification}
+    labels = {c.values: classify_cycle(c) for c in report.census.cycles}
     assert labels[(6,)] == LABEL_FIXED_POINT
     assert labels[(1, 2)] == LABEL_UNIVERSAL
     trace = orbit(8_512, Params(10, 5))
@@ -589,7 +596,7 @@ def test_verify_theorem2_k10_p5():
 
 def test_verify_theorem2_full_conditions_consistent_with_theorem1():
     report = verify_theorem2(Params(137, 11), n_max=1_000)
-    positive_labels = [e.label for e in report.classification if not e.cycle.degenerate]
+    positive_labels = [classify_cycle(c) for c in report.census.cycles if not c.degenerate]
     assert positive_labels == [LABEL_UNIVERSAL]
 
 

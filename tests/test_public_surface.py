@@ -16,7 +16,6 @@ PUBLIC_NAMES = [
     "CONGRUENCE",
     "Cycle",
     "CycleCensus",
-    "CycleClassification",
     "DEFAULT_MAX_STEPS",
     "DigitDomainError",
     "EQUALITY",
@@ -65,7 +64,6 @@ PUBLIC_SIGNATURES = {
     "BudgetExceededError": ("message", "partial"),
     "Cycle": ("values", "basin_size"),
     "CycleCensus": ("params", "absorbing_bound", "cycles", "scanned_range"),
-    "CycleClassification": ("cycle", "label"),
     "DigitDomainError": None,
     "HypothesisReport": ("params", "a_holds", "b_holds", "b_violations", "c_holds", "c_violations"),
     "KAdicDigits": ("base", "digits"),
@@ -86,7 +84,7 @@ PUBLIC_SIGNATURES = {
         "error",
     ),
     "Theorem1Report": ("params", "n_max", "passed", "counterexample", "census"),
-    "Theorem2Report": ("params", "n_max", "census", "classification"),
+    "Theorem2Report": ("params", "n_max", "census"),
     "ZorbitError": None,
     "absorbing_bound": ("params",),
     "check_a": ("params",),
