@@ -44,7 +44,7 @@ from .errors import (
     ZorbitError,
 )
 from .hypothesis import HypothesisReport, check_all
-from .kadic import _join_blocks, _leaf_chunks, to_digits
+from .kadic import _join_blocks, to_digits
 from .transform import DEFAULT_MAX_STEPS, OrbitTrace, Params, digit_step, orbit
 
 SCHEMA_VERSION = "1"
@@ -107,8 +107,8 @@ def _int(text: str) -> int:
 
     ``int()`` of a decimal text is quadratic on CPython 3.11 (6-9 s at 10**6
     digits on x86-64); blocks of ``_BLOCK_DIGITS`` digits joined pairwise
-    take about 1 s there.
-    Any other text, and every error, is ``int()``'s own.
+    take about 1 s there.  Any other text, and every error, is ``int()``'s
+    own; an orbit start in such a text is written back by ``str()``.
     """
     plain = _PLAIN_DECIMAL.fullmatch(text)
     if plain is None:
@@ -130,8 +130,13 @@ def _int_at_least(text: str, low: int, requirement: str) -> int:
     return value
 
 
-def _nonneg_int(text: str) -> int:
-    return _int_at_least(text, 0, "must be nonnegative")
+def _start(text: str) -> tuple[int, str]:
+    """A nonnegative orbit start and its echoed text: a plain decimal's own
+    digits without blanks, sign or leading zeros, else ``str()`` of the value
+    (quadratic, but through the shell such a text has at most 131 071 characters)."""
+    value = _int_at_least(text, 0, "must be nonnegative")
+    plain = _PLAIN_DECIMAL.fullmatch(text)
+    return value, (plain[2].lstrip("0") or "0") if plain else str(value)
 
 
 def _positive_int(text: str) -> int:
@@ -324,14 +329,11 @@ def _hypothesis_payload(report: HypothesisReport) -> dict:
     }
 
 
-def _decimal(n: int) -> str:
-    """``str(n)`` for ``n >= 0``, written from the base-10 leaves of the digit
-    split: subquadratic on a huge ``n``, where ``str()`` is quadratic."""
-    leaves = [str(chunk).zfill(width) for chunk, width in _leaf_chunks(n, 10)]
-    return "".join(reversed(leaves))
-
-
-def _trace_steps(values, params: Params) -> list[dict]:
+def _orbit_payload(values, params: Params, trace: OrbitTrace | None, start=None) -> dict:
+    """The steps through ``values`` and the cycle facts of ``trace``, each None
+    when there is no trace (the step budget ran out).  Step 0's value is the
+    start's own text ``start`` if given; every later value, at most
+    m*(t+1)*(t+2) for an m-digit start, is cheap to write by ``str()``."""
     steps = []
     for index, value in enumerate(values):
         digits = list(to_digits(value, params.k))
@@ -339,19 +341,13 @@ def _trace_steps(values, params: Params) -> list[dict]:
         steps.append(
             {
                 "step": index,
-                "value": _decimal(value),
+                "value": str(value) if index or start is None else start,
                 "digits": digits,
                 "f_values": [f_of[d] for d in digits],
             }
         )
-    return steps
-
-
-def _orbit_payload(values, params: Params, trace: OrbitTrace | None) -> dict:
-    """The steps through ``values`` and the cycle facts of ``trace``, each None
-    when there is no trace (the step budget ran out)."""
     return {
-        "trace": _trace_steps(values, params),
+        "trace": steps,
         "preperiod_length": None if trace is None else trace.preperiod_length,
         "cycle_length": None if trace is None else trace.cycle_length,
         "cycle": None if trace is None else [str(v) for v in trace.cycle],
@@ -389,12 +385,13 @@ def _params_echo(params: Params) -> dict:
 def _cmd_orbit(args: argparse.Namespace, config: dict[str, str]) -> _Result:
     params = _params_from(args, config)
     max_steps = _setting(args, os.environ, ENV_MAX_STEPS, _positive_int, DEFAULT_MAX_STEPS)
+    n, start = args.n
     try:
-        trace = orbit(args.n, params, max_steps=max_steps)
+        trace = orbit(n, params, max_steps=max_steps)
     except BudgetExceededError as exc:
-        payload = _orbit_payload(exc.partial, params, None)
+        payload = _orbit_payload(exc.partial, params, None, start)
     else:
-        payload = _orbit_payload(trace.values, params, trace)
+        payload = _orbit_payload(trace.values, params, trace, start)
     steps, cycle = payload["trace"], payload["cycle"]
     echo = _params_echo(params)
     echo.update({"n": steps[0]["value"], "max_steps": max_steps})  # step 0 is n
@@ -529,9 +526,9 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> _Result:
         ]
         columns += ["cycle", "label", "basin_size"]
         rows = [[*lead, *entry.values()] for entry in payload["classification"]]
-        for cycle in report.census.cycles:
-            values = _joined(cycle.values, " -> ")
-            lines.append(f"  {classify_cycle(cycle)}: {values} (basin {cycle.basin_size})")
+        for entry in payload["classification"]:
+            values = _joined(entry["cycle"], " -> ")
+            lines.append(f"  {entry['label']}: {values} (basin {entry['basin_size']})")
     return _Result(code, "verify", echo, payload, columns, rows, lines)
 
 
@@ -579,7 +576,7 @@ def _cmd_sweep(args: argparse.Namespace, config: dict[str, str]) -> _Result:
         "jobs": args.jobs,
     }
     payload = {"rows": [_sweep_row_payload(row) for row in rows]}
-    table = []
+    table, lines = [], []
     for cell in payload["rows"]:
         hyp = cell["hypothesis"] or {}
         cycles = cell["cycles"]
@@ -591,19 +588,16 @@ def _cmd_sweep(args: argparse.Namespace, config: dict[str, str]) -> _Result:
             "cycles": None if cycles is None else [cycle["values"] for cycle in cycles],
         }
         table.append([flat[column] for column in SWEEP_CSV_COLUMNS])
-    lines = []
-    for row in rows:
-        if row.skip_reason or row.error:
-            why = f"skipped ({row.skip_reason})" if row.skip_reason else f"error ({row.error})"
-            lines.append(f"k={row.k} p={row.p}: {why}")
+        head = f"k={cell['k']} p={cell['p']}: "
+        skip, error = cell["skip_reason"], cell["error"]
+        if skip or error:
+            lines.append(head + (f"skipped ({skip})" if skip else f"error ({error})"))
             continue
-        hyp = row.hypothesis
-        cycles = "; ".join(_braced(c.values) for c in row.cycles)
         lines.append(
-            f"k={row.k} p={row.p}: hyp(a={_cell(hyp.a_holds)} "
-            f"b={_cell(hyp.b_holds)} c={_cell(hyp.c_holds)}) "
-            f"bound={row.absorbing_bound} cycles=[{cycles}] "
-            f"theorem1={row.theorem1_status} max_transient={row.max_transient}"
+            f"{head}hyp(a={_cell(flat['hyp_a'])} b={_cell(flat['hyp_b'])} "
+            f"c={_cell(flat['hyp_c'])}) bound={cell['absorbing_bound']} "
+            f"cycles=[{'; '.join(map(_braced, flat['cycles']))}] "
+            f"theorem1={cell['theorem1_status']} max_transient={cell['max_transient']}"
         )
     code = EXIT_OK if all_pass else EXIT_VERIFICATION_FAILED
     return _Result(code, "sweep", echo, payload, SWEEP_CSV_COLUMNS, table, lines, csv_prefix=False)
@@ -650,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     commands["orbit"].add_argument(
         "n",
-        type=_nonneg_int,
+        type=_start,
         help="starting value (nonnegative decimal, up to 131 071 characters on Linux)",
     )
     commands["orbit"].add_argument(

@@ -224,7 +224,9 @@ def _resolve(
     """One pass of ``_walk`` with tables of array ``typecode``: the cycle ids,
     and the depths if ``transients``."""
     end = bound if n_max is None else max(bound, n_max)
-    size = min(bound // k * k + k, end + 1)  # the box's rows: walks may start in all of them
+    # B's whole row, though walks start only at images, which the block check keeps <= bound:
+    # a stored block slicing past the end grows the array, which over-allocates (6 % at 10**6)
+    size = min(bound // k * k + k, end + 1)
     try:  # allocate first: a box past the address space fails at once, before the digit table
         cycle_id = array(typecode, [-1]) * size
         depth = array(typecode, [0]) * size if transients else None

@@ -168,7 +168,7 @@ def test_orbit_hundred_thousand_digit_start_json():
     assert trace[1]["value"] == str(sum(z_by_digit_sum(int(c), 10, 5) for c in start))
 
 
-# Base-10 leaves of the digit split hold 256 digits, blocks of the parse 300.
+# Blocks of the parse hold 300 digits.
 TEXT_LENGTHS = [1, 255, 256, 257, 299, 300, 301, 308, 309, 310, 511, 512, 513]
 TEXT_LENGTHS += [599, 600, 601, 767, 768, 769, 1023, 1024, 1025, 2048, 2049, 4096, 4300]
 
@@ -183,19 +183,10 @@ def decimal_texts(draw) -> str:
     if kind == "random":
         rng = random.Random(draw(st.integers(0, 2**32)))
         return "".join(rng.choices("0123456789", k=length))
-    digits = ["0"] * length  # whole leaves and blocks of zeros between few nonzero digits
+    digits = ["0"] * length  # whole blocks of zeros between few nonzero digits
     for place in draw(st.lists(st.integers(0, length - 1), max_size=3)):
         digits[place] = draw(st.sampled_from("123456789"))
     return "".join(digits)
-
-
-@given(decimal_texts())
-@example("0" * 4_300)
-@example("1" + "0" * 4_299)
-@settings(max_examples=300, deadline=None)
-def test_long_decimal_text_is_written_as_str_writes_it(text):
-    n = int(text)
-    assert cli._decimal(n) == str(n)
 
 
 @given(
@@ -273,6 +264,26 @@ def test_main_runs_where_the_digit_limit_does_not_exist(monkeypatch, capsys):
     monkeypatch.delattr(sys, "set_int_max_str_digits")
     assert cli.main(["orbit", "123789", "--k", "137", "--p", "11", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["payload"]["trace"][0]["value"] == "123789"
+
+
+@pytest.mark.parametrize(
+    "start, extra, echoed",
+    [
+        (" +000123789 ", [], "123789"),
+        ("-0", [], "0"),
+        ("1_000", [], "1000"),
+        ("99", ["--max-steps", "1"], "99"),  # the trace that ran out of budget
+    ],
+)
+def test_orbit_echoes_the_start_as_its_decimal_digits(capsys, start, extra, echoed):
+    argv = ["orbit", start, "--k", "137", "--p", "11", *extra]
+    code = cli.main([*argv, "--format", "json"])
+    envelope = json.loads(capsys.readouterr().out)
+    assert envelope["params"]["n"] == envelope["payload"]["trace"][0]["value"] == echoed
+    assert cli.main([*argv, "--format", "text"]) == code
+    header, step0 = capsys.readouterr().out.splitlines()[:2]
+    assert header == f"orbit n={echoed} (k=137, p=11)"
+    assert step0.startswith(f"  step 0: {echoed}  digits=")
 
 
 # -- check -------------------------------------------------------------------
@@ -744,6 +755,15 @@ def test_memory_error_and_interrupt_exit_codes(monkeypatch, capsys, raised, code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
+
+
+def test_engine_fault_exits_1(monkeypatch, capsys):
+    # a bound that is not absorbing: the census finds a step out of the box
+    monkeypatch.setattr("zorbit.dynamics.absorbing_bound", lambda params: 100)
+    assert cli.main(["census", "--k", "137", "--p", "11"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "zorbit: error: step left the certified box [0, 100] from 100\n"
 
 
 @pytest.mark.parametrize("p", ["3", "2"])
