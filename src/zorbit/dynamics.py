@@ -8,9 +8,9 @@ else here (cycle enumeration, fixed points, the collapse verifiers, and
 parameter sweeps) reduces to finite, exhaustively checked computation
 inside the box.
 
-One engine serves them all: ``_walk``, keyed by the digit map alone,
+One engine serves them all: ``_walk``, keyed by a digit table alone,
 resolves every start in one pass, row by row, pulling most nodes' cycle
-from their images ``z(c*k + a) = z(c) + digit(a)`` by one C-level gather,
+from their images ``z(c*k + a) = z(c) + table[a]`` by one C-level gather,
 tally and store per block, so a node costs about the same whatever the digit
 map.  The cycle-id table takes one signed byte per node.  Only ``sweep`` reads
 transients, so only it asks for a depth table (steps to the cycle) of the
@@ -20,10 +20,10 @@ alone.  A cycle id past 127, or with transients a depth past 127, sends the
 census back for one pass with 4- or 8-byte tables.  Above the box every
 image lies below its row, so the pull alone resolves those rows; blocks past
 the stored tables skip only the table writes, and basins and the longest
-transient are counted in the same pass.  ``_census`` feeds it ``digit_step``
-and ``absorbing_bound`` and picks the Theorem 1 witness by ``classify_cycle``;
-``cycle_census``, ``fixed_points``, both verifiers and ``sweep`` all read
-their answers from it.
+transient are counted in the same pass.  ``_census`` checks its bytes against
+the memory first, feeds it the table of ``digit_step`` and ``absorbing_bound``
+and picks the Theorem 1 witness by ``classify_cycle``; ``cycle_census``,
+``fixed_points``, both verifiers and ``sweep`` all read their answers from it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import os
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
@@ -58,6 +57,10 @@ THEOREM1_ERROR = "error"
 
 _BLOCK = 4096  # nodes pulled at once: its tuples, 16 B a node, stay small beside the tables
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"  # a depth byte's successor, by bytes.translate
+try:  # physical memory, the limit of every census (see _census)
+    _MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+except (AttributeError, ValueError, OSError):  # no sysconf, or it cannot report the memory
+    _MEMORY = 2**47  # the user address space of a 64-bit process
 
 
 def max_digit_step(params: Params) -> int:
@@ -156,11 +159,17 @@ def _census(
     (``n_max`` defaults to B; None unless ``transients``), and the witness:
     the smallest start n >= 1 whose orbit ends in a positive cycle other than
     {1, 2}, or None.  Only a caller that reads the longest transient passes
-    ``transients``: without it the census keeps no depth table.
+    ``transients``: without it the census keeps no depth table.  Before it
+    builds anything, an estimate of 8 bytes a digit-table entry (a tuple slot)
+    and 1 a box node, or 2 with ``transients``, over the physical memory
+    raises MemoryError; else the table is built once.
     """
     bound = absorbing_bound(params)
-    digit = partial(digit_step, p=params.p)
-    cycles, firsts, longest = _walk(params.k, digit, bound, n_max, transients)
+    estimate = 8 * params.k + (2 if transients else 1) * (bound + 1)
+    if estimate > _MEMORY:
+        raise MemoryError(f"a census of about {estimate} bytes, over {_MEMORY} bytes of memory")
+    table = tuple(map(partial(digit_step, p=params.p), range(params.k)))
+    cycles, firsts, longest = _walk(table, bound, n_max, transients)
     offending = (LABEL_FIXED_POINT, LABEL_OTHER)
     starts = [n for c, n in zip(cycles, firsts) if classify_cycle(c) in offending]
     hi = bound if n_max is None else max(bound, n_max)
@@ -169,19 +178,19 @@ def _census(
 
 
 def _walk(
-    k: int, digit: Callable[[int], int], bound: int, n_max: int | None, transients: bool
+    table: tuple[int, ...], bound: int, n_max: int | None, transients: bool
 ) -> tuple[tuple[Cycle, ...], tuple[int, ...], int | None]:
-    """Every cycle of n -> sum of ``digit(a)`` over the base-k digits a of n,
-    with basins over [0, end], end = max(bound, n_max); each cycle's smallest
-    start, in the same order; and the longest transient in [1, n_max] (default
-    bound) if ``transients``, else None.
+    """Every cycle of n -> sum of ``table[a]`` over the base-k digits a of n,
+    k = len(table), with basins over [0, end], end = max(bound, n_max); each
+    cycle's smallest start, in the same order; and the longest transient in
+    [1, n_max] (default bound) if ``transients``, else None.
 
-    Contract: ``digit`` is any nonnegative map on 0..k-1, and ``bound`` is
-    absorbing as ``absorbing_bound`` proves it: [0, bound] maps into itself,
-    and an m-digit n above it maps into [0, bound] or below k**(m-1) <= c*k
-    for its row [c*k, c*k + k).  So one pass resolves [0, end] in increasing
-    blocks, each a row cut to ``_BLOCK`` nodes, whose images are z(c) + digit(a)
-    (0 maps to the empty sum 0): a block that starts in the box maps into it,
+    Contract: ``table`` is nonnegative with ``table[0] == 0`` (the paper's
+    f(0) = 0), and ``bound`` is absorbing as ``absorbing_bound`` proves it:
+    [0, bound] maps into itself, and an m-digit n above it maps into [0, bound]
+    or below k**(m-1) <= c*k for its row [c*k, c*k + k).  So one pass resolves
+    [0, end] in increasing blocks, each a row cut to ``_BLOCK`` nodes, whose
+    images are z(c) + table[a]: a block that starts in the box maps into it,
     one above it maps below its first node, or AbsorptionError is raised.
     ``cycle_id`` holds -1 for unresolved nodes and -2 for nodes on the walk in
     progress, so a walk that meets its own path has closed a new cycle, whose
@@ -199,41 +208,31 @@ def _walk(
     wide tables by ``Counter.update``) and stored by one copy; its depths
     follow only when the depth table exists.
 
-    Each table takes one signed byte per node: a stored block's + 1 is one
-    ``bytes.translate`` and its writes copy bytes.  A cycle id past 127, or with
-    transients a depth past 127, raises OverflowError, from a walk's assignment
-    or a translated depth of 128, and the census is redone once with wide
-    tables, "i" below 2**31 - 1 and "q" from there, whose + 1 is a list
-    comprehension.
+    Each table is allocated once, up to the row of the largest image, with
+    one signed byte a node: a stored block's + 1 is one ``bytes.translate``
+    and its writes copy bytes.  A cycle id past 127, or with transients a depth
+    past 127, raises OverflowError, from a walk's assignment or a translated
+    depth of 128, and the census is redone once with wide tables, "i" below
+    2**31 - 1 and "q" from there, whose + 1 is a list comprehension.
     """
     try:
-        return _resolve(k, digit, bound, n_max, transients, "b")
+        return _resolve(table, bound, n_max, transients, "b")
     except OverflowError:
         pass  # leave the handler first: its traceback holds the one-byte tables
-    return _resolve(k, digit, bound, n_max, transients, "i" if bound < 2**31 - 1 else "q")
+    return _resolve(table, bound, n_max, transients, "i" if bound < 2**31 - 1 else "q")
 
 
 def _resolve(
-    k: int,
-    digit: Callable[[int], int],
-    bound: int,
-    n_max: int | None,
-    transients: bool,
-    typecode: str,
+    table: tuple[int, ...], bound: int, n_max: int | None, transients: bool, typecode: str
 ) -> tuple[tuple[Cycle, ...], tuple[int, ...], int | None]:
     """One pass of ``_walk`` with tables of array ``typecode``: the cycle ids,
     and the depths if ``transients``."""
+    k = len(table)
     end = bound if n_max is None else max(bound, n_max)
-    # B's whole row, though walks start only at images, which the block check keeps <= bound:
-    # a stored block slicing past the end grows the array, which over-allocates (6 % at 10**6)
-    size = min(bound // k * k + k, end + 1)
-    try:  # allocate first: a box past the address space fails at once, before the digit table
-        cycle_id = array(typecode, [-1]) * size
-        depth = array(typecode, [0]) * size if transients else None
-    except OverflowError:  # size past PY_SSIZE_T_MAX: _walk would take it for a depth past 127
-        raise MemoryError(f"a box of {size} nodes is past the address space") from None
-    table = tuple(map(digit, range(k)))
-    keep = max(size - 1, digit_count(end, k) * max(table))  # no start's image lies above
+    keep = max(bound, digit_count(end, k) * max(table))  # no start's image lies above
+    size = min(keep // k * k + k, end + 1)  # keep's whole row: no stored block grows a table
+    cycle_id = array(typecode, [-1]) * size
+    depth = array(typecode, [0]) * size if transients else None
 
     def step(n: int, _table=table, _k=k) -> int:
         total = 0
@@ -247,13 +246,13 @@ def _resolve(
     members: list[int] = []  # a heap of the cycle members in blocks not yet pulled
     counts: Counter[int] = Counter()  # the basins: every block's cycle ids
     longest = 0  # the longest transient of the blocks past keep
-    shapes: dict[tuple[int, int] | None, tuple] = {}  # digits, gather, nodes sorted by digit
+    shapes: dict[tuple[int, int], tuple] = {}  # digits, gather, nodes sorted by digit
     for row in range(0, end + 1, k):
         high = step(row // k)
         for lo in range(row, min(row + k, end + 1), _BLOCK):
             hi = min(lo + _BLOCK, row + k, end + 1)
-            if (shape := (lo - row, hi - lo) if lo else None) not in shapes:
-                digits = table[lo - row : hi - row] if lo else (0, *table[1:hi])  # z(0) = 0
+            if (shape := (lo - row, hi - lo)) not in shapes:
+                digits = table[lo - row : hi - row]
                 gather = itemgetter(*digits) if hi - lo > 1 else lambda v, d=digits[0]: (v[d],)
                 shapes[shape] = digits, gather, sorted(range(hi - lo), key=digits.__getitem__)
             digits, gather, order = shapes[shape]
@@ -299,7 +298,7 @@ def _resolve(
                     counts[cid] += block_ids.count(cid)
             else:
                 counts.update(block_ids)
-            if lo <= keep:  # a stored block slicing past the end appends
+            if lo <= keep:
                 cycle_id[lo:hi] = array(typecode, block_ids)  # one-byte ids: a memcpy
             if depth is None:
                 continue

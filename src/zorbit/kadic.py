@@ -194,10 +194,8 @@ def from_digits(digits: Union[KAdicDigits, Sequence[int]], base: int | None = No
     # Leaf blocks of at most _LEAF_BITS bits by Horner's rule, then joined
     # by _join_blocks: one Horner pass over a long value is quadratic.
     width = max(1, _LEAF_BITS // base.bit_length())
-    if len(seq) <= width:
-        return _horner(seq, base)
     blocks = [_horner(seq[i : i + width], base) for i in range(0, len(seq), width)]
-    return _join_blocks(blocks, base**width)
+    return _join_blocks(blocks or [0], base**width)
 
 
 def _join_blocks(blocks: list[int], power: int) -> int:

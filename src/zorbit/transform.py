@@ -67,8 +67,8 @@ def z_transform(n: int, params: Params) -> int:
     """Sum of the per-digit map over the base-k digits of ``n``.
 
     ``z_transform(0) == 0`` (empty digit sum).  The digit loop is inlined
-    because this is the step of every ``orbit`` (the census engine sums a
-    k-slot table of ``digit_step`` instead); it computes exactly
+    because this is the step of every ``orbit`` (a census builds a k-entry
+    table of ``digit_step`` once and sums that instead); it computes exactly
     sum(digit_step(a, p) for a in to_digits(n, k)).  Values longer than the
     leaf size are first split into leaf chunks, as in ``to_digits``, so a
     huge ``n`` costs a few big divisions, not one divmod per digit.

@@ -18,7 +18,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zorbit import cli
-from zorbit.dynamics import _walk
 
 from oracles import z_by_digit_sum
 
@@ -766,23 +765,18 @@ def test_engine_fault_exits_1(monkeypatch, capsys):
     assert captured.err == "zorbit: error: step left the certified box [0, 100] from 100\n"
 
 
-@pytest.mark.parametrize("p", ["3", "2"])
+@pytest.mark.parametrize("p", ["3", "2", "4294967296"])
 def test_census_past_the_address_space_exits_2_at_once(monkeypatch, capsys, p):
     # B ~ 4.1e18 at p = 3, and B = 2**63 + 2**32, past PY_SSIZE_T_MAX, at
-    # p = 2: the box allocation fails before any digit is mapped, whatever
-    # digit map the census hands the engine
+    # p = 2; at p = k, B = k - 1, so a 2**32-entry table and box, about
+    # 38.7 GB, over an 8 GiB machine: the memory check fails before any
+    # digit is mapped
     def never(*_):
-        raise AssertionError("digit table built before the box was allocated")
+        raise AssertionError("digit table built past the memory check")
 
-    walked = []
-
-    def walk(k, _digit, *rest):
-        walked.append(k)
-        return _walk(k, never, *rest)
-
-    monkeypatch.setattr("zorbit.dynamics._walk", walk)
+    monkeypatch.setattr("zorbit.dynamics._MEMORY", 8 * 2**30)
+    monkeypatch.setattr("zorbit.dynamics.digit_step", never)
     assert cli.main(["census", "--k", "4294967296", "--p", p]) == 2
-    assert walked == [2**32]
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "zorbit: error: out of memory\n"

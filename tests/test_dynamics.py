@@ -192,26 +192,36 @@ def test_census_matches_independent_orbits(k, p):
     assert {c.values for c in census.cycles} == expected
 
 
+def never_map_a_digit(*_):
+    raise AssertionError("digit table built past the memory check")
+
+
 @pytest.mark.parametrize("p", [3, 2])
 def test_box_past_the_address_space_fails_before_the_digit_table(monkeypatch, p):
-    # B = 2*S with S = (t+1)(t+2): at p = 3, S ~ 2.06e18 and the allocator
-    # refuses a one-byte table of about 4.1e18 slots; at p = 2, B = 2**63 + 2**32
-    # is past PY_SSIZE_T_MAX, so the size itself overflows.  Either way
-    # MemoryError comes at once, before any of the 2**32 digit-table entries
-    # is computed, whatever digit map _census hands the engine
-    def never(*_):
-        raise AssertionError("digit table built before the box was allocated")
-
-    walked = []
-
-    def walk(k, _digit, *rest):
-        walked.append(k)
-        return _walk(k, never, *rest)
-
-    monkeypatch.setattr("zorbit.dynamics._walk", walk)
+    # B = 2*S with S = (t+1)(t+2): at p = 3, S ~ 2.06e18, a one-byte table of
+    # about 4.1e18 slots; at p = 2, B = 2**63 + 2**32 is past PY_SSIZE_T_MAX.
+    # Either box is past any machine's memory and past the 2**47 bytes assumed
+    # where it cannot be read, so MemoryError comes at once, before any of the
+    # 2**32 digit-table entries is computed
+    monkeypatch.setattr("zorbit.dynamics.digit_step", never_map_a_digit)
     with pytest.raises(MemoryError):
         cycle_census(Params(2**32, p))
-    assert walked == [2**32]
+
+
+@pytest.mark.parametrize("transients", [False, True])
+def test_census_checks_its_bytes_against_the_memory_first(monkeypatch, transients):
+    # (137, 11): 8 bytes for each of 137 table entries and 1 for each of the
+    # B + 1 = 365 box nodes, or 2 with transients
+    params = Params(137, 11)
+    assert absorbing_bound(params) == 364
+    estimate = 8 * 137 + (2 if transients else 1) * 365
+    expected = _census(params, None, transients)
+    monkeypatch.setattr("zorbit.dynamics._MEMORY", estimate)
+    assert _census(params, None, transients) == expected
+    monkeypatch.setattr("zorbit.dynamics._MEMORY", estimate - 1)
+    monkeypatch.setattr("zorbit.dynamics.digit_step", never_map_a_digit)
+    with pytest.raises(MemoryError, match=f"about {estimate} bytes"):
+        _census(params, None, transients)
 
 
 def test_tables_past_the_box_stay_box_sized():
@@ -309,7 +319,7 @@ DIGIT_POWER_CYCLES = {
 @pytest.mark.parametrize("exponent", sorted(DIGIT_POWER_CYCLES))
 def test_walk_finds_published_digit_power_cycles(exponent):
     bound, expected = DIGIT_POWER_CYCLES[exponent]
-    cycles, _, _ = _walk(10, lambda a: a**exponent, bound, None, transients=False)
+    cycles, _, _ = _walk(tuple(a**exponent for a in range(10)), bound, None, transients=False)
     assert [c.values for c in cycles] == expected
     assert sum(c.basin_size for c in cycles) == bound + 1
     if exponent == 2:
@@ -337,9 +347,10 @@ def test_walk_finds_published_digit_power_cycles(exponent):
     ],
 )
 def test_walk_raises_on_a_broken_certificate(k, digit, bound, message):
+    table = tuple(map(digit, range(k)))
     for transients in (False, True):
         with pytest.raises(AbsorptionError, match=re.escape(message)):
-            _walk(k, digit, bound, 20, transients)
+            _walk(table, bound, 20, transients)
 
 
 @pytest.mark.parametrize("block", [1, 2, 7])
@@ -349,8 +360,8 @@ def test_walk_does_not_depend_on_the_block_size(monkeypatch, block):
     cases = []
     for _ in range(20):
         k = rng.randrange(3, 9)
-        table = tuple(rng.randrange(k * k + 1) for _ in range(k))
-        cases.append((k, table.__getitem__, k**4, rng.choice([None, k**4 + 500])))
+        table = (0, *(rng.randrange(k * k + 1) for _ in range(k - 1)))
+        cases.append((table, k**4, rng.choice([None, k**4 + 500])))
     expected = [_walk(*case, transients) for case in cases for transients in (False, True)]
     monkeypatch.setattr("zorbit.dynamics._BLOCK", block)
     assert [_walk(*case, transients) for case in cases for transients in (False, True)] == expected
@@ -365,13 +376,13 @@ def test_walk_counts_basins_past_256_cycles(monkeypatch, block):
     basins = Counter(canonical_cycle(*orbit) for orbit in orbits)
     assert max(lam for _, lam, _ in orbits[1:]) == 2
     for transients in (False, True):
-        cycles, firsts, longest = _walk(300, lambda a: a, 299, None, transients)
+        cycles, firsts, longest = _walk(tuple(range(300)), 299, None, transients)
         assert [c.values for c in cycles] == [(n,) for n in range(300)]
         assert {c.basin_size for c in cycles} == {1}
         assert firsts == tuple(range(300))
         assert longest == (0 if transients else None)
         # box [0, 599], rows 2..10 only counted: a counted block's tally past 256 cycles
-        cycles, firsts, longest = _walk(300, lambda a: a, 599, 3_000, transients)
+        cycles, firsts, longest = _walk(tuple(range(300)), 599, 3_000, transients)
         assert {c.values: c.basin_size for c in cycles} == dict(basins)
         assert len(cycles) == 300 and sum(basins.values()) == 3_001
         assert firsts == tuple(range(300))
@@ -380,20 +391,21 @@ def test_walk_counts_basins_past_256_cycles(monkeypatch, block):
 
 @st.composite
 def digit_map_and_range(draw) -> tuple[int, tuple[int, ...], int, int | None]:
-    """A base k, a digit table with entries <= k*k, the box k**4 and a range end.
+    """A base k, a digit table with entries <= k*k and table[0] == 0, the box
+    k**4 and a range end.
 
     An m-digit value maps to at most m*k*k, which is <= k**4 for m <= 5 and
     below k**(m-1) for m >= 5, so [0, k**4] is absorbing for every such table.
     """
     k = draw(st.integers(min_value=3, max_value=12))
-    table = tuple(draw(st.lists(st.integers(0, k * k), min_size=k, max_size=k)))
+    table = (0, *draw(st.lists(st.integers(0, k * k), min_size=k - 1, max_size=k - 1)))
     bound = k**4
     n_max = draw(st.one_of(st.none(), st.integers(1, bound), st.integers(bound + 1, bound + 2_000)))
     return k, table, bound, n_max
 
 
 @given(digit_map_and_range())
-@example((3, (1, 0, 0), 81, None))  # a block's cycle members take depth 0, not their image's + 1
+@example((3, (0, 0, 2), 81, None))  # a block's cycle members take depth 0, not their image's + 1
 @settings(max_examples=30, deadline=None)
 def test_walk_matches_per_start_orbits_for_random_digit_maps(case):
     check_walk_against_orbits(*case)
@@ -405,8 +417,8 @@ def check_walk_against_orbits(
     """Check basins, each cycle's smallest start and the longest transient
     against per-start orbits; return the longest transient.  Without
     transients the walk must give the same cycles, basins and smallest starts."""
-    cycles, firsts, longest = _walk(k, table.__getitem__, bound, n_max, transients=True)
-    assert _walk(k, table.__getitem__, bound, n_max, transients=False) == (cycles, firsts, None)
+    cycles, firsts, longest = _walk(table, bound, n_max, transients=True)
+    assert _walk(table, bound, n_max, transients=False) == (cycles, firsts, None)
     top = bound if n_max is None else n_max
     basins: Counter = Counter()
     first: dict[tuple[int, ...], int] = {}
@@ -714,6 +726,16 @@ def test_sweep_captures_cell_errors():
     rows = sweep((2**32 + 1, 2**32 + 1), (3, 3), n_max=10)
     assert rows[0].theorem1_status == THEOREM1_ERROR
     assert "ParameterDomainError" in rows[0].error
+
+
+def test_sweep_reports_a_cell_past_the_memory_as_an_error_row(monkeypatch):
+    # k = p = 2**32: B = k - 1, so a 2**32-entry table and a 2**32-node box
+    # with depths, about 42.9 GB, over an 8 GiB machine
+    monkeypatch.setattr("zorbit.dynamics._MEMORY", 8 * 2**30)
+    monkeypatch.setattr("zorbit.dynamics.digit_step", never_map_a_digit)
+    (row,) = sweep((2**32, 2**32), (2**32, 2**32), 10)
+    assert row.theorem1_status == THEOREM1_ERROR
+    assert row.error.startswith("MemoryError: ")
 
 
 def test_sweep_rejects_bad_arguments():

@@ -1,6 +1,6 @@
-"""Source rules: no line over 100 characters; one home for the digit check
-and one for the CLI's spelling of true and false; only the standard library
-and the package itself are imported."""
+"""Source rules: no line over 100 characters; one home each for the digit
+check, the CLI's spelling of true and false and the reading of physical
+memory; only the standard library and the package itself are imported."""
 
 from __future__ import annotations
 
@@ -56,6 +56,18 @@ def test_cli_spells_true_and_false_only_in_the_cell_rule():
         node for node in cli.body if isinstance(node, ast.FunctionDef) and node.name == "_cell"
     ]
     assert spellings(cell) == spellings(cli) == ["false", "true"]
+
+
+def test_physical_memory_is_read_on_one_line():
+    # the census's memory limit is one policy, so one line reads os.sysconf
+    reads = [
+        (path.relative_to(SOURCE).as_posix(), node.lineno)
+        for path in sorted(SOURCE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr == "sysconf")
+        or (isinstance(node, ast.alias) and node.name == "sysconf")
+    ]
+    assert len(set(reads)) == 1 and reads[0][0] == "dynamics.py", reads
 
 
 def test_imports_are_relative_or_from_the_standard_library():
