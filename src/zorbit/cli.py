@@ -315,7 +315,11 @@ def _write_output(doc: str, out_path: str | None) -> None:
         except OSError as exc:
             raise UsageError(f"cannot write {out_path}: {exc}") from exc
     else:
-        sys.stdout.write(doc)
+        try:  # flushed here, so a full disk or closed pipe fails now, not at exit
+            sys.stdout.write(doc)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise UsageError(f"cannot write stdout: {exc}") from exc
 
 
 def _hypothesis_payload(report: HypothesisReport) -> dict:

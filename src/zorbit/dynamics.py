@@ -20,10 +20,15 @@ alone.  A cycle id past 127, or with transients a depth past 127, sends the
 census back for one pass with 4- or 8-byte tables.  Above the box every
 image lies below its row, so the pull alone resolves those rows; blocks past
 the stored tables skip only the table writes, and basins and the longest
-transient are counted in the same pass.  ``_census`` checks its bytes against
-the memory first, feeds it the table of ``digit_step`` and ``absorbing_bound``
-and picks the Theorem 1 witness by ``classify_cycle``; ``cycle_census``,
-``fixed_points``, both verifiers and ``sweep`` all read their answers from it.
+transient are counted in the same pass.  One rule, ``_tables``, sizes the
+tables and counts the memory: ``_ENTRY`` bytes a digit for the digit table and
+the shape cache, and tables up to the row of the largest image at 1 byte a
+node (2 with depths), or 4 or 8 for the redo.  A census over the physical
+memory raises MemoryError before its digit table is built, and a redo before
+it allocates.  ``_census`` feeds the engine the table of ``digit_step`` and
+``absorbing_bound`` and picks the Theorem 1 witness by ``classify_cycle``;
+``cycle_census``, ``fixed_points``, both verifiers and ``sweep`` all read
+their answers from it.
 """
 
 from __future__ import annotations
@@ -57,7 +62,11 @@ THEOREM1_ERROR = "error"
 
 _BLOCK = 4096  # nodes pulled at once: its tuples, 16 B a node, stay small beside the tables
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"  # a depth byte's successor, by bytes.translate
-try:  # physical memory, the limit of every census (see _census)
+# Bytes a census takes for each digit a, beside the node tables: a tuple slot and an int for f(a)
+# in the digit table; a digits slot, a gather slot, an order slot and its int in the shape cache;
+# a slot of the block tuple.  tracemalloc read 29-79 a digit, k from 137 to 10**6.
+_ENTRY = 96
+try:  # physical memory, the limit of every census (see _tables)
     _MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 except (AttributeError, ValueError, OSError):  # no sysconf, or it cannot report the memory
     _MEMORY = 2**47  # the user address space of a 64-bit process
@@ -160,21 +169,39 @@ def _census(
     the smallest start n >= 1 whose orbit ends in a positive cycle other than
     {1, 2}, or None.  Only a caller that reads the longest transient passes
     ``transients``: without it the census keeps no depth table.  Before it
-    builds anything, an estimate of 8 bytes a digit-table entry (a tuple slot)
-    and 1 a box node, or 2 with ``transients``, over the physical memory
-    raises MemoryError; else the table is built once.
+    builds anything, ``_tables`` counts the census's bytes at one-byte tables
+    and raises MemoryError when they exceed the memory; else the digit table
+    is built once.
     """
     bound = absorbing_bound(params)
-    estimate = 8 * params.k + (2 if transients else 1) * (bound + 1)
-    if estimate > _MEMORY:
-        raise MemoryError(f"a census of about {estimate} bytes, over {_MEMORY} bytes of memory")
+    hi, _ = _tables(params.k, max_digit_step(params), bound, n_max, transients, 1)
     table = tuple(map(partial(digit_step, p=params.p), range(params.k)))
     cycles, firsts, longest = _walk(table, bound, n_max, transients)
     offending = (LABEL_FIXED_POINT, LABEL_OTHER)
     starts = [n for c, n in zip(cycles, firsts) if classify_cycle(c) in offending]
-    hi = bound if n_max is None else max(bound, n_max)
     census = CycleCensus(params=params, absorbing_bound=bound, cycles=cycles, scanned_range=(0, hi))
     return census, longest, min(starts, default=None)
+
+
+def _tables(
+    k: int, top: int, bound: int, n_max: int | None, transients: bool, itemsize: int
+) -> tuple[int, int]:
+    """The end of the census range, max(bound, n_max), and the size of its
+    node tables, which reach the end of the row of the largest image any
+    start has (``top`` is the largest digit-table entry), so no stored block
+    grows a table.
+
+    Raises MemoryError when the census would exceed ``_MEMORY``: ``_ENTRY``
+    bytes for each of the k digits and for each digit of the one more shape
+    a cut last row adds (at most ``_BLOCK``), and ``itemsize`` bytes a node
+    in the id table, and in the depth table with ``transients``.
+    """
+    end = bound if n_max is None else max(bound, n_max)
+    size = min(max(bound, digit_count(end, k) * top) // k * k + k, end + 1)
+    need = _ENTRY * (k + min(k, _BLOCK)) + (2 if transients else 1) * itemsize * size
+    if need > _MEMORY:
+        raise MemoryError(f"a census of about {need} bytes, over {_MEMORY} bytes of memory")
+    return end, size
 
 
 def _walk(
@@ -208,12 +235,15 @@ def _walk(
     wide tables by ``Counter.update``) and stored by one copy; its depths
     follow only when the depth table exists.
 
-    Each table is allocated once, up to the row of the largest image, with
-    one signed byte a node: a stored block's + 1 is one ``bytes.translate``
-    and its writes copy bytes.  A cycle id past 127, or with transients a depth
-    past 127, raises OverflowError, from a walk's assignment or a translated
-    depth of 128, and the census is redone once with wide tables, "i" below
-    2**31 - 1 and "q" from there, whose + 1 is a list comprehension.
+    Each table is allocated once, at the size ``_tables`` sets (up to the row
+    of the largest image) once it has counted the pass's bytes at this width
+    against the memory, with one signed byte a node: a stored block's + 1 is
+    one ``bytes.translate`` and its writes copy bytes.  A cycle id past 127,
+    or with transients a depth past 127, raises OverflowError, from a walk's
+    assignment or a translated depth of 128, and the census is redone once
+    with wide tables, "i" below 2**31 - 1 and "q" from there, whose + 1 is a
+    list comprehension; the redo's 4 or 8 bytes a node pass the same check,
+    or raise MemoryError before they are allocated.
     """
     try:
         return _resolve(table, bound, n_max, transients, "b")
@@ -228,9 +258,7 @@ def _resolve(
     """One pass of ``_walk`` with tables of array ``typecode``: the cycle ids,
     and the depths if ``transients``."""
     k = len(table)
-    end = bound if n_max is None else max(bound, n_max)
-    keep = max(bound, digit_count(end, k) * max(table))  # no start's image lies above
-    size = min(keep // k * k + k, end + 1)  # keep's whole row: no stored block grows a table
+    end, size = _tables(k, max(table), bound, n_max, transients, array(typecode).itemsize)
     cycle_id = array(typecode, [-1]) * size
     depth = array(typecode, [0]) * size if transients else None
 
@@ -245,7 +273,7 @@ def _resolve(
     found: list[tuple[int, ...]] = []
     members: list[int] = []  # a heap of the cycle members in blocks not yet pulled
     counts: Counter[int] = Counter()  # the basins: every block's cycle ids
-    longest = 0  # the longest transient of the blocks past keep
+    longest = 0  # the longest transient of the blocks past the tables
     shapes: dict[tuple[int, int], tuple] = {}  # digits, gather, nodes sorted by digit
     for row in range(0, end + 1, k):
         high = step(row // k)
@@ -298,13 +326,13 @@ def _resolve(
                     counts[cid] += block_ids.count(cid)
             else:
                 counts.update(block_ids)
-            if lo <= keep:
+            if lo < size:
                 cycle_id[lo:hi] = array(typecode, block_ids)  # one-byte ids: a memcpy
             if depth is None:
                 continue
             with memoryview(depth) as depth_view:
                 block_depths = gather(depth_view[high:])
-            if lo > keep:  # counted only
+            if lo >= size:  # counted only
                 longest = max(longest, max(block_depths) + 1)
             elif typecode == "b":
                 plus = bytes(block_depths).translate(_PLUS_ONE)
@@ -500,9 +528,8 @@ def _sweep_cell(cell: tuple[int, int, int]) -> SweepRow:
             max_transient=max_transient,
         )
     except Exception as exc:  # per-cell capture: the row reports the fault
-        return SweepRow(
-            k=k, p=p, theorem1_status=THEOREM1_ERROR, error=f"{type(exc).__name__}: {exc}"
-        )
+        error = ": ".join(filter(None, (type(exc).__name__, str(exc))))  # bare: the name alone
+        return SweepRow(k=k, p=p, theorem1_status=THEOREM1_ERROR, error=error)
 
 
 def sweep(

@@ -614,6 +614,72 @@ def test_sweep_unwritable_out_fails_before_any_cell(tmp_path, monkeypatch, capsy
     assert (tmp_path / "file").read_text() == "kept\n"
 
 
+def test_sweep_out_that_fails_after_its_probe_exits_2(tmp_path, monkeypatch, capsys):
+    # the path becomes a directory while the cells run: the probe passed, the
+    # write fails, and the error names the path
+    out = tmp_path / "x.json"
+    real_sweep = cli.sweep
+
+    def sweep_then_take_the_path(*args, **kwargs):
+        out.mkdir()
+        return real_sweep(*args, **kwargs)
+
+    monkeypatch.setattr("zorbit.cli.sweep", sweep_then_take_the_path)
+    argv = ["sweep", "--k-range", "5:5", "--p-range", "3:3", "--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = f"zorbit: error: cannot write {out}: [Errno 21] Is a directory: '{out}'\n"
+    assert captured.err == expected
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_unwritable_stdout_exits_2_with_one_line(capsys, monkeypatch, failing):
+    # a full disk, seen by the write itself or only by the flush
+    class FullStdout:
+        def write(self, text):
+            if failing == "write":
+                raise OSError(28, "No space left on device")
+            return len(text)
+
+        def flush(self):
+            if failing == "flush":
+                raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    assert cli.main(["check", "--k", "5", "--p", "3", "--format", "text"]) == 2
+    expected = "zorbit: error: cannot write stdout: [Errno 28] No space left on device\n"
+    assert capsys.readouterr().err == expected
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/dev/full is Linux's")
+def test_stdout_on_a_full_device_exits_2_with_one_line():
+    argv = [sys.executable, "-m", "zorbit", "check", "--k", "5", "--p", "3", "--format", "text"]
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert result.returncode == 2
+    expected = "zorbit: error: cannot write stdout: [Errno 28] No space left on device\n"
+    assert result.stderr == expected
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS as Linux enforces it")
+def test_census_past_the_address_space_limit_exits_2_with_one_line():
+    # ulimit -v 1048576: the box of (100000, 3), B = 2.2e9 one-byte nodes, is
+    # under the memory rule of a machine with more than about 2.2 GB, and its
+    # first table allocation fails under the 1 GiB limit; on a smaller machine
+    # the rule refuses it first, with the same line
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    argv = [sys.executable, "-m", "zorbit", "census", "--k", "100000", "--p", "3"]
+    result = subprocess.run(argv, capture_output=True, text=True, preexec_fn=limit_address_space)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "zorbit: error: out of memory\n"
+
+
 # -- usage errors ------------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from zorbit import dynamics
 from zorbit.dynamics import (
     LABEL_FIXED_POINT,
     LABEL_OTHER,
@@ -210,11 +211,12 @@ def test_box_past_the_address_space_fails_before_the_digit_table(monkeypatch, p)
 
 @pytest.mark.parametrize("transients", [False, True])
 def test_census_checks_its_bytes_against_the_memory_first(monkeypatch, transients):
-    # (137, 11): 8 bytes for each of 137 table entries and 1 for each of the
-    # B + 1 = 365 box nodes, or 2 with transients
+    # (137, 11): 96 bytes for each of 137 digits and 137 more for a cut last
+    # row's shape, and 1 for each of the B + 1 = 365 box nodes, or 2 with
+    # transients
     params = Params(137, 11)
     assert absorbing_bound(params) == 364
-    estimate = 8 * 137 + (2 if transients else 1) * 365
+    estimate = 96 * (137 + 137) + (2 if transients else 1) * 365
     expected = _census(params, None, transients)
     monkeypatch.setattr("zorbit.dynamics._MEMORY", estimate)
     assert _census(params, None, transients) == expected
@@ -222,6 +224,36 @@ def test_census_checks_its_bytes_against_the_memory_first(monkeypatch, transient
     monkeypatch.setattr("zorbit.dynamics.digit_step", never_map_a_digit)
     with pytest.raises(MemoryError, match=f"about {estimate} bytes"):
         _census(params, None, transients)
+
+
+@pytest.mark.parametrize("transients", [False, True])
+@pytest.mark.parametrize(
+    "k,p,n_max",
+    [(4096, 4096, None), (947, 3, None), (4000, 3, None), (137, 11, 100_000)],
+    ids=["k=p", "box", "big-ints", "range-past-box"],
+)
+def test_census_counts_at_least_its_own_peak(monkeypatch, k, p, n_max, transients):
+    # the rule counts what a census allocates, tracemalloc's few kB of fixed
+    # bookkeeping aside: k = p holds a box of one row beside a table of k
+    # entries; (947, 3) and (4000, 3) hold digit values past the small-int
+    # cache, and (137, 11) keeps 548 nodes for 100 001 starts
+    params = Params(k, p)
+    peak = peak_bytes(_census, params, n_max, transients)
+    monkeypatch.setattr("zorbit.dynamics._MEMORY", peak - 1)
+    monkeypatch.setattr("zorbit.dynamics.digit_step", never_map_a_digit)
+    with pytest.raises(MemoryError):
+        _census(params, n_max, transients)
+
+
+@pytest.mark.parametrize("transients", [False, True])
+def test_wide_redo_checks_its_bytes_before_it_allocates(monkeypatch, transients):
+    # 300 fixed points: the one-byte pass fits the memory and overflows at the
+    # 129th cycle; the redo's 4-byte tables would take 3 bytes a node more
+    entries = dynamics._ENTRY * (300 + 300)
+    tables = 2 if transients else 1
+    monkeypatch.setattr("zorbit.dynamics._MEMORY", entries + tables * 300)
+    with pytest.raises(MemoryError, match=f"about {entries + tables * 4 * 300} bytes"):
+        _walk(tuple(range(300)), 299, None, transients)
 
 
 def test_tables_past_the_box_stay_box_sized():
@@ -729,13 +761,25 @@ def test_sweep_captures_cell_errors():
 
 
 def test_sweep_reports_a_cell_past_the_memory_as_an_error_row(monkeypatch):
-    # k = p = 2**32: B = k - 1, so a 2**32-entry table and a 2**32-node box
-    # with depths, about 42.9 GB, over an 8 GiB machine
+    # k = p = 2**32: B = k - 1, so 96 bytes for each of 2**32 + 4096 digits
+    # (the table and the shape cache) and 2 for each of 2**32 box nodes with
+    # depths: about 420.9 GB, over an 8 GiB machine
     monkeypatch.setattr("zorbit.dynamics._MEMORY", 8 * 2**30)
     monkeypatch.setattr("zorbit.dynamics.digit_step", never_map_a_digit)
     (row,) = sweep((2**32, 2**32), (2**32, 2**32), 10)
     assert row.theorem1_status == THEOREM1_ERROR
     assert row.error.startswith("MemoryError: ")
+
+
+def test_sweep_reports_a_bare_exception_by_its_name(monkeypatch):
+    # a MemoryError from the allocator carries no message: no ": " follows
+    def out_of_memory(*_, **__):
+        raise MemoryError()
+
+    monkeypatch.setattr("zorbit.dynamics._census", out_of_memory)
+    (row,) = sweep((5, 5), (3, 3), 10)
+    assert row.theorem1_status == THEOREM1_ERROR
+    assert row.error == "MemoryError"
 
 
 def test_sweep_rejects_bad_arguments():

@@ -1,6 +1,7 @@
 """Source rules: no line over 100 characters; one home each for the digit
-check, the CLI's spelling of true and false and the reading of physical
-memory; only the standard library and the package itself are imported."""
+check, the CLI's spelling of true and false, the reading of physical memory
+and the census's MemoryError; only the standard library and the package
+itself are imported."""
 
 from __future__ import annotations
 
@@ -68,6 +69,24 @@ def test_physical_memory_is_read_on_one_line():
         or (isinstance(node, ast.alias) and node.name == "sysconf")
     ]
     assert len(set(reads)) == 1 and reads[0][0] == "dynamics.py", reads
+
+
+def test_memory_error_is_built_only_by_the_table_rule():
+    # the census's memory policy is one rule, so one call builds MemoryError
+    def builds(tree: ast.AST) -> int:
+        return sum(
+            isinstance(node, ast.Call) and ast.unparse(node.func) == "MemoryError"
+            for node in ast.walk(tree)
+        )
+
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCE.rglob("*.py")]
+    dynamics = ast.parse((SOURCE / "dynamics.py").read_text(encoding="utf-8"))
+    (rule,) = [
+        node
+        for node in dynamics.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_tables"
+    ]
+    assert builds(rule) == sum(map(builds, trees)) == 1
 
 
 def test_imports_are_relative_or_from_the_standard_library():
