@@ -319,7 +319,20 @@ def _write_output(doc: str, out_path: str | None) -> None:
             sys.stdout.write(doc)
             sys.stdout.flush()
         except OSError as exc:
+            _discard_stdout()
             raise UsageError(f"cannot write stdout: {exc}") from exc
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at devnull, so the bytes a failed write left
+    in its buffer are not written again, and do not fail again, at exit."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # a stdout with no descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _hypothesis_payload(report: HypothesisReport) -> dict:

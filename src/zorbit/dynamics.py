@@ -62,10 +62,11 @@ THEOREM1_ERROR = "error"
 
 _BLOCK = 4096  # nodes pulled at once: its tuples, 16 B a node, stay small beside the tables
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"  # a depth byte's successor, by bytes.translate
-# Bytes a census takes for each digit a, beside the node tables: a tuple slot and an int for f(a)
-# in the digit table; a digits slot, a gather slot, an order slot and its int in the shape cache;
-# a slot of the block tuple.  tracemalloc read 29-79 a digit, k from 137 to 10**6.
-_ENTRY = 96
+# Bytes a census takes for each counted digit (k, and min(k, _BLOCK) for a cut last row's shape)
+# beside the node tables: the digit table and the shape cache.  tracemalloc read 23-81.2 on 17
+# cells, k from 137 to 10**6; the most at (100000, 30), whose f(a) are ints past the small-int
+# cache, and 54 at k = p = 10**6.  This is that most and 8 % more, rounded up.
+_ENTRY = 88
 try:  # physical memory, the limit of every census (see _tables)
     _MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 except (AttributeError, ValueError, OSError):  # no sysconf, or it cannot report the memory

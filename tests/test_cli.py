@@ -629,8 +629,9 @@ def test_sweep_out_that_fails_after_its_probe_exits_2(tmp_path, monkeypatch, cap
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    expected = f"zorbit: error: cannot write {out}: [Errno 21] Is a directory: '{out}'\n"
-    assert captured.err == expected
+    # the errno and its text are the platform's
+    assert captured.err.startswith(f"zorbit: error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 @pytest.mark.parametrize("failing", ["write", "flush"])
@@ -652,14 +653,39 @@ def test_unwritable_stdout_exits_2_with_one_line(capsys, monkeypatch, failing):
     assert capsys.readouterr().err == expected
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/dev/full is Linux's")
-def test_stdout_on_a_full_device_exits_2_with_one_line():
+def run_check_into(stdout, unbuffered: bool) -> subprocess.CompletedProcess:
+    # buffered, the failed flush leaves its bytes in stdout's buffer, which
+    # the interpreter would flush again, and fail again, at exit
+    env = os.environ.copy()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     argv = [sys.executable, "-m", "zorbit", "check", "--k", "5", "--p", "3", "--format", "text"]
+    return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/dev/full is Linux's")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_stdout_on_a_full_device_exits_2_with_one_line(unbuffered):
     with open("/dev/full", "w") as full:
-        result = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True)
+        result = run_check_into(full, unbuffered)
     assert result.returncode == 2
     expected = "zorbit: error: cannot write stdout: [Errno 28] No space left on device\n"
     assert result.stderr == expected
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="EPIPE on a pipe with no reader is POSIX's")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_stdout_on_a_closed_pipe_exits_2_with_one_line(unbuffered):
+    # the reader is gone before the process starts
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = run_check_into(write_end, unbuffered)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr == "zorbit: error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS as Linux enforces it")
@@ -835,7 +861,7 @@ def test_engine_fault_exits_1(monkeypatch, capsys):
 def test_census_past_the_address_space_exits_2_at_once(monkeypatch, capsys, p):
     # B ~ 4.1e18 at p = 3, and B = 2**63 + 2**32, past PY_SSIZE_T_MAX, at
     # p = 2; at p = k, B = k - 1, so a 2**32-entry table and box, about
-    # 38.7 GB, over an 8 GiB machine: the memory check fails before any
+    # 382.3 GB, over an 8 GiB machine: the memory check fails before any
     # digit is mapped
     def never(*_):
         raise AssertionError("digit table built past the memory check")

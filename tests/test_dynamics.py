@@ -211,12 +211,12 @@ def test_box_past_the_address_space_fails_before_the_digit_table(monkeypatch, p)
 
 @pytest.mark.parametrize("transients", [False, True])
 def test_census_checks_its_bytes_against_the_memory_first(monkeypatch, transients):
-    # (137, 11): 96 bytes for each of 137 digits and 137 more for a cut last
+    # (137, 11): 88 bytes for each of 137 digits and 137 more for a cut last
     # row's shape, and 1 for each of the B + 1 = 365 box nodes, or 2 with
     # transients
     params = Params(137, 11)
     assert absorbing_bound(params) == 364
-    estimate = 96 * (137 + 137) + (2 if transients else 1) * 365
+    estimate = 88 * (137 + 137) + (2 if transients else 1) * 365
     expected = _census(params, None, transients)
     monkeypatch.setattr("zorbit.dynamics._MEMORY", estimate)
     assert _census(params, None, transients) == expected
@@ -243,6 +243,21 @@ def test_census_counts_at_least_its_own_peak(monkeypatch, k, p, n_max, transient
     monkeypatch.setattr("zorbit.dynamics.digit_step", never_map_a_digit)
     with pytest.raises(MemoryError):
         _census(params, n_max, transients)
+
+
+@pytest.mark.parametrize("transients", [False, True])
+def test_census_counts_at_most_three_quarters_over_its_peak_at_k_equal_p(monkeypatch, transients):
+    # k = p = 100 000: every f(a) is 0, 1 or 2, so a digit takes about 52 bytes
+    # beside the one-row box, where the rule counts the most a digit took on
+    # any measured cell and 8 % more; so the rule over-counts here, by less
+    # than 1.75x
+    params = Params(100_000, 100_000)
+    peak = peak_bytes(_census, params, None, transients)
+    monkeypatch.setattr("zorbit.dynamics._MEMORY", 0)
+    with pytest.raises(MemoryError) as refused:
+        _census(params, None, transients)
+    count = int(re.search(r"about (\d+) bytes", str(refused.value)).group(1))
+    assert peak < count < 1.75 * peak
 
 
 @pytest.mark.parametrize("transients", [False, True])
@@ -761,9 +776,9 @@ def test_sweep_captures_cell_errors():
 
 
 def test_sweep_reports_a_cell_past_the_memory_as_an_error_row(monkeypatch):
-    # k = p = 2**32: B = k - 1, so 96 bytes for each of 2**32 + 4096 digits
+    # k = p = 2**32: B = k - 1, so 88 bytes for each of 2**32 + 4096 digits
     # (the table and the shape cache) and 2 for each of 2**32 box nodes with
-    # depths: about 420.9 GB, over an 8 GiB machine
+    # depths: about 386.5 GB, over an 8 GiB machine
     monkeypatch.setattr("zorbit.dynamics._MEMORY", 8 * 2**30)
     monkeypatch.setattr("zorbit.dynamics.digit_step", never_map_a_digit)
     (row,) = sweep((2**32, 2**32), (2**32, 2**32), 10)
