@@ -8,38 +8,36 @@ else here (cycle enumeration, fixed points, the collapse verifiers, and
 parameter sweeps) reduces to finite, exhaustively checked computation
 inside the box.
 
-One engine serves them all: ``_walk``, keyed by a digit table alone,
-resolves every start in one pass, row by row, pulling most nodes' cycle
-from their images ``z(c*k + a) = z(c) + table[a]`` by one C-level gather,
-tally and store per block, so a node costs about the same whatever the digit
-map.  The cycle-id table takes one signed byte per node.  Only ``sweep`` reads
-transients, so only it asks for a depth table (steps to the cycle) of the
-same width, gathered after the ids, whose stored blocks add 1 by one
-``bytes.translate``; every other caller resolves the box with the id table
-alone.  A cycle id past 127, or with transients a depth past 127, sends the
-census back for one pass with 4- or 8-byte tables.  Above the box every
-image lies below its row, so the pull alone resolves those rows; blocks past
-the stored tables skip only the table writes, and basins and the longest
-transient are counted in the same pass.  One rule, ``_tables``, sizes the
-tables and counts the memory: ``_ENTRY`` bytes a digit for the digit table and
-the shape cache, and tables up to the row of the largest image at 1 byte a
+One engine serves them all: ``_walk``, keyed by a digit table alone, resolves
+every start in one pass, row by row, pulling most nodes' cycle from their
+images ``z(c*k + a) = z(c) + table[a]`` by one C-level gather, tally and store
+per block, so a node costs about the same whatever the digit map; a walk sums
+an image of two digits inline.  The cycle-id table takes one signed byte per
+node.  Only ``sweep`` reads transients, so only it asks for a depth table
+(steps to the cycle) of the same width, gathered after the ids, whose stored
+blocks add 1 by one ``bytearray.translate``; every other caller resolves the
+box with the id table alone.  A cycle id past 127, or with transients a depth
+past 127, sends the census back for one pass with 4- or 8-byte tables.  Above
+the box every image lies below its row, so the pull alone resolves those rows;
+blocks past the stored tables skip only the table writes, and basins and the
+longest transient are counted in the same pass.  One rule, ``_tables``, sizes
+the tables and counts the memory: ``_ENTRY`` bytes a digit for the digit table
+and the shape cache, and tables up to the row of the largest image at 1 byte a
 node (2 with depths), or 4 or 8 for the redo.  A census over the physical
 memory raises MemoryError before its digit table is built, and a redo before
-it allocates.  ``_census`` feeds the engine the table of ``digit_step`` and
-``absorbing_bound`` and picks the Theorem 1 witness by ``classify_cycle``;
-``cycle_census``, ``fixed_points``, both verifiers and ``sweep`` all read
-their answers from it.
+it allocates.  ``_census`` feeds the engine the closed-form table of
+``_digit_table`` and ``absorbing_bound`` and picks the Theorem 1 witness by
+``classify_cycle``; ``cycle_census``, ``fixed_points``, both verifiers and
+``sweep`` all read their answers from it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from heapq import heappop, heappush
 from itertools import islice
 from operator import itemgetter
@@ -47,7 +45,7 @@ from operator import itemgetter
 from .errors import AbsorptionError, ParameterDomainError, PreconditionError, _check_int, _echo
 from .hypothesis import HypothesisReport, check_a, check_all
 from .kadic import digit_count
-from .transform import OrbitTrace, Params, _check_params, digit_step, orbit
+from .transform import OrbitTrace, Params, _check_params, _digit_table, orbit
 
 LABEL_UNIVERSAL = "universal_2cycle"
 LABEL_FIXED_POINT = "fixed_point"
@@ -61,7 +59,7 @@ THEOREM1_SKIPPED = "skipped"
 THEOREM1_ERROR = "error"
 
 _BLOCK = 4096  # nodes pulled at once: its tuples, 16 B a node, stay small beside the tables
-_PLUS_ONE = bytes(range(1, 256)) + b"\0"  # a depth byte's successor, by bytes.translate
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"  # a depth byte's successor, by bytearray.translate
 # Bytes a census takes for each counted digit (k, and min(k, _BLOCK) for a cut last row's shape)
 # beside the node tables: the digit table and the shape cache.  tracemalloc read 23-81.2 on 17
 # cells, k from 137 to 10**6; the most at (100000, 30), whose f(a) are ints past the small-int
@@ -172,11 +170,11 @@ def _census(
     ``transients``: without it the census keeps no depth table.  Before it
     builds anything, ``_tables`` counts the census's bytes at one-byte tables
     and raises MemoryError when they exceed the memory; else the digit table
-    is built once.
+    is built once, in closed form, with no call per digit.
     """
     bound = absorbing_bound(params)
     hi, _ = _tables(params.k, max_digit_step(params), bound, n_max, transients, 1)
-    table = tuple(map(partial(digit_step, p=params.p), range(params.k)))
+    table = _digit_table(params.k, params.p)
     cycles, firsts, longest = _walk(table, bound, n_max, transients)
     offending = (LABEL_FIXED_POINT, LABEL_OTHER)
     starts = [n for c, n in zip(cycles, firsts) if classify_cycle(c) in offending]
@@ -229,17 +227,21 @@ def _walk(
     block whose largest image reaches its first node can have an unresolved
     image, so only such a block looks up where its walks start: the images at
     or past that node not resolved already, walked in the order a bisection
-    of the block's nodes sorted by digit returns them.  Every cycle lies in
-    the box, so its smallest start is the first node of ``cycle_id`` holding
-    its index.  Each block's ids are gathered once, tallied by the table width
-    (one-byte tables hold at most 128 cycles, counted by ``bytes.count``, and
-    wide tables by ``Counter.update``) and stored by one copy; its depths
-    follow only when the depth table exists.
+    of the block's nodes sorted by digit returns them.  Each block shape
+    caches its digits, their gather, its largest digit (the peak test) and
+    that order.  A walk steps from an image below k*k by ``table[q] +
+    table[a]`` inline, and calls the digit sum past two digits.  Every cycle
+    lies in the box, so its smallest start is the first node of ``cycle_id``
+    holding its index.  Each block's ids are gathered once, tallied by the
+    table width (one-byte tables hold at most 128 cycles: the ids become a
+    ``bytearray``, counted by ``bytearray.count``; wide tables by
+    ``Counter.update``) and stored by one copy; its depths follow only when
+    the depth table exists.
 
     Each table is allocated once, at the size ``_tables`` sets (up to the row
     of the largest image) once it has counted the pass's bytes at this width
     against the memory, with one signed byte a node: a stored block's + 1 is
-    one ``bytes.translate`` and its writes copy bytes.  A cycle id past 127,
+    one ``bytearray.translate`` and its writes copy bytes.  A cycle id past 127,
     or with transients a depth past 127, raises OverflowError, from a walk's
     assignment or a translated depth of 128, and the census is redone once
     with wide tables, "i" below 2**31 - 1 and "q" from there, whose + 1 is a
@@ -263,6 +265,8 @@ def _resolve(
     cycle_id = array(typecode, [-1]) * size
     depth = array(typecode, [0]) * size if transients else None
 
+    square = k * k  # an image below it has two digits, summed inline
+
     def step(n: int, _table=table, _k=k) -> int:
         total = 0
         while n:
@@ -275,7 +279,7 @@ def _resolve(
     members: list[int] = []  # a heap of the cycle members in blocks not yet pulled
     counts: Counter[int] = Counter()  # the basins: every block's cycle ids
     longest = 0  # the longest transient of the blocks past the tables
-    shapes: dict[tuple[int, int], tuple] = {}  # digits, gather, nodes sorted by digit
+    shapes: dict[tuple[int, int], tuple] = {}  # digits, gather, largest digit, nodes by digit
     for row in range(0, end + 1, k):
         high = step(row // k)
         for lo in range(row, min(row + k, end + 1), _BLOCK):
@@ -283,12 +287,13 @@ def _resolve(
             if (shape := (lo - row, hi - lo)) not in shapes:
                 digits = table[lo - row : hi - row]
                 gather = itemgetter(*digits) if hi - lo > 1 else lambda v, d=digits[0]: (v[d],)
-                shapes[shape] = digits, gather, sorted(range(hi - lo), key=digits.__getitem__)
-            digits, gather, order = shapes[shape]
-            peak = high + digits[order[-1]]
+                order = sorted(range(hi - lo), key=digits.__getitem__)
+                shapes[shape] = digits, gather, digits[order[-1]], order
+            digits, gather, top, order = shapes[shape]
+            peak = high + top
             if peak >= lo:  # else every image lies below lo, so it is resolved already
                 if peak > bound:
-                    n = lo + digits.index(peak - high)  # the first node of the largest digit
+                    n = lo + digits.index(top)  # the first node of the largest digit
                     descent = f"descent violated above certified bound {bound}: z({n}) = {peak}"
                     raise AbsorptionError(f"{left_box} {n}" if n <= bound else descent)
                 for i in order[bisect_left(order, lo - high, key=digits.__getitem__) :]:
@@ -299,7 +304,10 @@ def _resolve(
                     while cycle_id[current] == -1:
                         cycle_id[current] = -2
                         path.append(current)
-                        current = step(current)
+                        if current < square:
+                            current = table[current // k] + table[current % k]
+                        else:
+                            current = step(current)
                         if current > bound:
                             raise AbsorptionError(f"{left_box} {path[-1]}")
                     cid = cycle_id[current]
@@ -321,8 +329,8 @@ def _resolve(
                             depth[v] = steps
             with memoryview(cycle_id) as id_view:
                 block_ids = gather(id_view[high:])
-            if typecode == "b":  # at most 128 cycles: bytes count each id in C
-                block_ids = bytes(block_ids)
+            if typecode == "b":  # at most 128 cycles: a bytearray counts each id in C
+                block_ids = bytearray(block_ids)
                 for cid in range(len(found)):
                     counts[cid] += block_ids.count(cid)
             else:
@@ -336,7 +344,7 @@ def _resolve(
             if lo >= size:  # counted only
                 longest = max(longest, max(block_depths) + 1)
             elif typecode == "b":
-                plus = bytes(block_depths).translate(_PLUS_ONE)
+                plus = bytearray(block_depths).translate(_PLUS_ONE)
                 if 128 in plus:  # the byte would read back as -128
                     raise OverflowError("depth past 127 in a one-byte table")
                 depth[lo:hi] = array("b", plus)
@@ -559,6 +567,8 @@ def sweep(
     cells = [(k, p, n_max) for k in range(k_lo, k_hi + 1) for p in range(p_lo, p_hi + 1)]
     workers = min(jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
+        import multiprocessing  # here, so that only a pooled sweep loads it
+
         with multiprocessing.Pool(processes=workers) as pool:
             rows = pool.map(_sweep_cell, cells)
     else:

@@ -10,6 +10,7 @@ gives orbits, which are always eventually periodic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 
 from .errors import BudgetExceededError, ParameterDomainError, _check_int, _echo
 from .kadic import _LEAF_BITS, _leaf_chunks
@@ -63,12 +64,25 @@ def digit_step(a: int, p: int) -> int:
     return r + 1
 
 
+def _digit_table(k: int, p: int) -> tuple[int, ...]:
+    """``tuple(digit_step(a, p) for a in range(k))`` in closed form (k >= 1 and
+    p >= 2 unchecked): block r of p digits is [r, (r+1)*(r+2), r+1, ..., r+1],
+    cut to k.  No more than k entries are built, whatever p, and a block's
+    r + 1 entries share one int.
+    """
+    blocks = -(-k // p)  # the last one may be cut
+    table = list(islice(chain.from_iterable(map(repeat, range(1, blocks + 1), repeat(p))), k))
+    table[::p] = range(blocks)
+    table[1::p] = [(r + 1) * (r + 2) for r in range(len(range(1, k, p)))]
+    return tuple(table)
+
+
 def z_transform(n: int, params: Params) -> int:
     """Sum of the per-digit map over the base-k digits of ``n``.
 
     ``z_transform(0) == 0`` (empty digit sum).  The digit loop is inlined
-    because this is the step of every ``orbit`` (a census builds a k-entry
-    table of ``digit_step`` once and sums that instead); it computes exactly
+    because this is the step of every ``orbit`` (a census builds its k-entry
+    table once, by ``_digit_table``, and sums that instead); it computes exactly
     sum(digit_step(a, p) for a in to_digits(n, k)).  Values longer than the
     leaf size are first split into leaf chunks, as in ``to_digits``, so a
     huge ``n`` costs a few big divisions, not one divmod per digit.

@@ -867,7 +867,7 @@ def test_census_past_the_address_space_exits_2_at_once(monkeypatch, capsys, p):
         raise AssertionError("digit table built past the memory check")
 
     monkeypatch.setattr("zorbit.dynamics._MEMORY", 8 * 2**30)
-    monkeypatch.setattr("zorbit.dynamics.digit_step", never)
+    monkeypatch.setattr("zorbit.dynamics._digit_table", never)
     assert cli.main(["census", "--k", "4294967296", "--p", p]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import count
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -204,7 +208,7 @@ def test_box_past_the_address_space_fails_before_the_digit_table(monkeypatch, p)
     # Either box is past any machine's memory and past the 2**47 bytes assumed
     # where it cannot be read, so MemoryError comes at once, before any of the
     # 2**32 digit-table entries is computed
-    monkeypatch.setattr("zorbit.dynamics.digit_step", never_map_a_digit)
+    monkeypatch.setattr("zorbit.dynamics._digit_table", never_map_a_digit)
     with pytest.raises(MemoryError):
         cycle_census(Params(2**32, p))
 
@@ -221,7 +225,7 @@ def test_census_checks_its_bytes_against_the_memory_first(monkeypatch, transient
     monkeypatch.setattr("zorbit.dynamics._MEMORY", estimate)
     assert _census(params, None, transients) == expected
     monkeypatch.setattr("zorbit.dynamics._MEMORY", estimate - 1)
-    monkeypatch.setattr("zorbit.dynamics.digit_step", never_map_a_digit)
+    monkeypatch.setattr("zorbit.dynamics._digit_table", never_map_a_digit)
     with pytest.raises(MemoryError, match=f"about {estimate} bytes"):
         _census(params, None, transients)
 
@@ -240,7 +244,7 @@ def test_census_counts_at_least_its_own_peak(monkeypatch, k, p, n_max, transient
     params = Params(k, p)
     peak = peak_bytes(_census, params, n_max, transients)
     monkeypatch.setattr("zorbit.dynamics._MEMORY", peak - 1)
-    monkeypatch.setattr("zorbit.dynamics.digit_step", never_map_a_digit)
+    monkeypatch.setattr("zorbit.dynamics._digit_table", never_map_a_digit)
     with pytest.raises(MemoryError):
         _census(params, n_max, transients)
 
@@ -453,6 +457,7 @@ def digit_map_and_range(draw) -> tuple[int, tuple[int, ...], int, int | None]:
 
 @given(digit_map_and_range())
 @example((3, (0, 0, 2), 81, None))  # a block's cycle members take depth 0, not their image's + 1
+@example((3, (0, 9, 9), 81, None))  # z(1) = 9 = k*k: a walk steps from a three-digit image
 @settings(max_examples=30, deadline=None)
 def test_walk_matches_per_start_orbits_for_random_digit_maps(case):
     check_walk_against_orbits(*case)
@@ -762,11 +767,19 @@ def test_sweep_pool_size_is_clamped(monkeypatch, cpus, expected):
         def map(self, func, items):
             return [func(item) for item in items]
 
-    monkeypatch.setattr("zorbit.dynamics.multiprocessing.Pool", FakePool)
+    monkeypatch.setattr("multiprocessing.Pool", FakePool)
     monkeypatch.setattr("zorbit.dynamics.os.cpu_count", lambda: cpus)
     rows = sweep((5, 5), (3, 5), n_max=50, jobs=64)
     assert started == ([] if expected is None else [expected])
     assert rows == sweep((5, 5), (3, 5), n_max=50, jobs=1)
+
+
+def test_import_leaves_multiprocessing_out():
+    # only a sweep with more than one worker imports it, to start its pool
+    code = "import sys, zorbit, zorbit.cli; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(dynamics.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout) == (0, "False\n")
 
 
 def test_sweep_captures_cell_errors():
@@ -780,7 +793,7 @@ def test_sweep_reports_a_cell_past_the_memory_as_an_error_row(monkeypatch):
     # (the table and the shape cache) and 2 for each of 2**32 box nodes with
     # depths: about 386.5 GB, over an 8 GiB machine
     monkeypatch.setattr("zorbit.dynamics._MEMORY", 8 * 2**30)
-    monkeypatch.setattr("zorbit.dynamics.digit_step", never_map_a_digit)
+    monkeypatch.setattr("zorbit.dynamics._digit_table", never_map_a_digit)
     (row,) = sweep((2**32, 2**32), (2**32, 2**32), 10)
     assert row.theorem1_status == THEOREM1_ERROR
     assert row.error.startswith("MemoryError: ")

@@ -15,7 +15,14 @@ import zorbit
 from zorbit.dynamics import cycle_census, sweep, verify_theorem1, verify_theorem2, z_upper_bound
 from zorbit.errors import BudgetExceededError, DigitDomainError, ParameterDomainError
 from zorbit.kadic import MAX_BASE, KAdicDigits, digit_count, from_digits, to_digits
-from zorbit.transform import DEFAULT_MAX_STEPS, Params, digit_step, orbit, z_transform
+from zorbit.transform import (
+    DEFAULT_MAX_STEPS,
+    Params,
+    _digit_table,
+    digit_step,
+    orbit,
+    z_transform,
+)
 
 from oracles import digit_map_by_formula, naive_orbit, z_by_digit_sum
 
@@ -208,6 +215,23 @@ def test_digit_step_matches_quotient_formulas_on_the_condition_a_window():
     for p in range(3, 41):
         for a in range(3 * p * p + 1):
             assert digit_step(a, p) == digit_map_by_formula(a, p), (a, p)
+
+
+def test_digit_table_is_the_digit_map_on_a_grid():
+    # every 3 <= k <= 400 and 2 <= p <= 60, p >= k included: each k's table is
+    # the first k entries of the map over range(400)
+    for p in range(2, 61):
+        mapped = tuple(digit_step(a, p) for a in range(400))
+        for k in range(3, 401):
+            assert _digit_table(k, p) == mapped[:k], (k, p)
+
+
+@pytest.mark.parametrize("k", [3, 4, 7, 10])
+@pytest.mark.parametrize("p", [10, 11, 2**20, 2**32])
+def test_digit_table_builds_k_entries_whatever_p(k, p):
+    # p >= k: one cut block [0, 2, 1, ..., 1]; at p = 2**32 no block of p
+    # entries is built, so this returns at once
+    assert _digit_table(k, p) == (0, 2) + (1,) * (k - 2)
 
 
 @given(digits_any, moduli)
