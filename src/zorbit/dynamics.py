@@ -21,14 +21,14 @@ past 127, sends the census back for one pass with 4- or 8-byte tables.  Above
 the box every image lies below its row, so the pull alone resolves those rows;
 blocks past the stored tables skip only the table writes, and basins and the
 longest transient are counted in the same pass.  One rule, ``_tables``, sizes
-the tables and counts the memory: ``_ENTRY`` bytes a digit for the digit table
-and the shape cache, and tables up to the row of the largest image at 1 byte a
-node (2 with depths), or 4 or 8 for the redo.  A census over the physical
-memory raises MemoryError before its digit table is built, and a redo before
-it allocates.  ``_census`` feeds the engine the closed-form table of
-``_digit_table`` and ``absorbing_bound`` and picks the Theorem 1 witness by
-``classify_cycle``; ``cycle_census``, ``fixed_points``, both verifiers and
-``sweep`` all read their answers from it.
+the tables and counts the memory: ``_ENTRY`` bytes a digit (its table and
+gather slots), ``_VALUE`` a distinct digit (its int and list slot), and tables
+up to the row of the largest image at 1 byte a node (2 with depths), or 4 or 8
+for the redo.  A census over the physical memory raises MemoryError before its
+digit table is built, and a redo before it allocates.  ``_census`` feeds the
+engine the closed-form table of ``_digit_table`` and ``absorbing_bound`` and
+picks the Theorem 1 witness by ``classify_cycle``; ``cycle_census``,
+``fixed_points``, both verifiers and ``sweep`` all read their answers from it.
 """
 
 from __future__ import annotations
@@ -60,11 +60,12 @@ THEOREM1_ERROR = "error"
 
 _BLOCK = 4096  # nodes pulled at once: its tuples, 16 B a node, stay small beside the tables
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"  # a depth byte's successor, by bytearray.translate
-# Bytes a census takes for each counted digit (k, and min(k, _BLOCK) for a cut last row's shape)
-# beside the node tables: the digit table and the shape cache.  tracemalloc read 23-81.2 on 17
-# cells, k from 137 to 10**6; the most at (100000, 30), whose f(a) are ints past the small-int
-# cache, and 54 at k = p = 10**6.  This is that most and 8 % more, rounded up.
-_ENTRY = 88
+# Bytes a census takes beside its node tables: _ENTRY a counted digit (k, and min(k, _BLOCK) for a
+# cut last row's shape), its digit-table and gather slots; _VALUE a distinct digit, its int and its
+# slot in a shape's sorted list.  tracemalloc read 16 a digit at k = p, and up to 86 a value more
+# at p = 3 and 7; the pair covers each of 38 readings (README) beside the tables by 9 % or more.
+_ENTRY = 24
+_VALUE = 112
 try:  # physical memory, the limit of every census (see _tables)
     _MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 except (AttributeError, ValueError, OSError):  # no sysconf, or it cannot report the memory
@@ -173,7 +174,8 @@ def _census(
     is built once, in closed form, with no call per digit.
     """
     bound = absorbing_bound(params)
-    hi, _ = _tables(params.k, max_digit_step(params), bound, n_max, transients, 1)
+    values = 2 * -(-params.k // params.p) + 1  # at most r, r+1 and (r+1)(r+2) for each block r
+    hi, _ = _tables(params.k, max_digit_step(params), values, bound, n_max, transients, 1)
     table = _digit_table(params.k, params.p)
     cycles, firsts, longest = _walk(table, bound, n_max, transients)
     offending = (LABEL_FIXED_POINT, LABEL_OTHER)
@@ -183,7 +185,7 @@ def _census(
 
 
 def _tables(
-    k: int, top: int, bound: int, n_max: int | None, transients: bool, itemsize: int
+    k: int, top: int, values: int, bound: int, n_max: int | None, transients: bool, itemsize: int
 ) -> tuple[int, int]:
     """The end of the census range, max(bound, n_max), and the size of its
     node tables, which reach the end of the row of the largest image any
@@ -191,13 +193,13 @@ def _tables(
     grows a table.
 
     Raises MemoryError when the census would exceed ``_MEMORY``: ``_ENTRY``
-    bytes for each of the k digits and for each digit of the one more shape
-    a cut last row adds (at most ``_BLOCK``), and ``itemsize`` bytes a node
-    in the id table, and in the depth table with ``transients``.
+    bytes for each of the k digits and of the one more shape a cut last row
+    adds (at most ``_BLOCK``), ``_VALUE`` for each of ``values`` distinct
+    digits (or a bound on them), and ``itemsize`` a node in each node table.
     """
     end = bound if n_max is None else max(bound, n_max)
     size = min(max(bound, digit_count(end, k) * top) // k * k + k, end + 1)
-    need = _ENTRY * (k + min(k, _BLOCK)) + (2 if transients else 1) * itemsize * size
+    need = _ENTRY * (k + min(k, _BLOCK)) + _VALUE * values + (1 + transients) * itemsize * size
     if need > _MEMORY:
         raise MemoryError(f"a census of about {need} bytes, over {_MEMORY} bytes of memory")
     return end, size
@@ -225,18 +227,18 @@ def _walk(
     counts the steps n takes to enter it; without them no depth is gathered,
     added to, written or reset, and the longest transient is not taken.  Only a
     block whose largest image reaches its first node can have an unresolved
-    image, so only such a block looks up where its walks start: the images at
-    or past that node not resolved already, walked in the order a bisection
-    of the block's nodes sorted by digit returns them.  Each block shape
-    caches its digits, their gather, its largest digit (the peak test) and
-    that order.  A walk steps from an image below k*k by ``table[q] +
-    table[a]`` inline, and calls the digit sum past two digits.  Every cycle
-    lies in the box, so its smallest start is the first node of ``cycle_id``
-    holding its index.  Each block's ids are gathered once, tallied by the
-    table width (one-byte tables hold at most 128 cycles: the ids become a
-    ``bytearray``, counted by ``bytearray.count``; wide tables by
-    ``Counter.update``) and stored by one copy; its depths follow only when
-    the depth table exists.
+    image, so only such a block looks up where its walks start.  Each block
+    shape caches only its gather and its distinct digits, sorted: the last is
+    the peak test's, and a plain bisection finds those whose image lies at or
+    past the first node.  Nodes of equal digit share their image, so each
+    image found starts one walk, in increasing order, unless it is resolved
+    already.  A walk steps from an image below k*k by ``table[q] + table[a]``
+    inline, and calls the digit sum past two digits.  Every cycle lies in the
+    box, so its smallest start is the first node of ``cycle_id`` holding its
+    index.  Each block's ids are gathered once, tallied by the table width
+    (one-byte tables hold at most 128 cycles: the ids become a ``bytearray``,
+    counted by ``bytearray.count``; wide tables by ``Counter.update``) and
+    stored by one copy; its depths follow only when the depth table exists.
 
     Each table is allocated once, at the size ``_tables`` sets (up to the row
     of the largest image) once it has counted the pass's bytes at this width
@@ -261,7 +263,8 @@ def _resolve(
     """One pass of ``_walk`` with tables of array ``typecode``: the cycle ids,
     and the depths if ``transients``."""
     k = len(table)
-    end, size = _tables(k, max(table), bound, n_max, transients, array(typecode).itemsize)
+    itemsize = array(typecode).itemsize
+    end, size = _tables(k, max(table), len(set(table)), bound, n_max, transients, itemsize)
     cycle_id = array(typecode, [-1]) * size
     depth = array(typecode, [0]) * size if transients else None
 
@@ -279,7 +282,7 @@ def _resolve(
     members: list[int] = []  # a heap of the cycle members in blocks not yet pulled
     counts: Counter[int] = Counter()  # the basins: every block's cycle ids
     longest = 0  # the longest transient of the blocks past the tables
-    shapes: dict[tuple[int, int], tuple] = {}  # digits, gather, largest digit, nodes by digit
+    shapes: dict[tuple[int, int], tuple] = {}  # gather, sorted distinct digits
     for row in range(0, end + 1, k):
         high = step(row // k)
         for lo in range(row, min(row + k, end + 1), _BLOCK):
@@ -287,17 +290,16 @@ def _resolve(
             if (shape := (lo - row, hi - lo)) not in shapes:
                 digits = table[lo - row : hi - row]
                 gather = itemgetter(*digits) if hi - lo > 1 else lambda v, d=digits[0]: (v[d],)
-                order = sorted(range(hi - lo), key=digits.__getitem__)
-                shapes[shape] = digits, gather, digits[order[-1]], order
-            digits, gather, top, order = shapes[shape]
-            peak = high + top
+                shapes[shape] = gather, sorted(set(digits))
+            gather, values = shapes[shape]
+            peak = high + values[-1]
             if peak >= lo:  # else every image lies below lo, so it is resolved already
                 if peak > bound:
-                    n = lo + digits.index(top)  # the first node of the largest digit
+                    n = table.index(values[-1], lo - row) + row  # the largest digit's first node
                     descent = f"descent violated above certified bound {bound}: z({n}) = {peak}"
                     raise AbsorptionError(f"{left_box} {n}" if n <= bound else descent)
-                for i in order[bisect_left(order, lo - high, key=digits.__getitem__) :]:
-                    current = high + digits[i]  # a walk starts at the image; the block pulls i
+                for digit in values[bisect_left(values, lo - high) :]:
+                    current = high + digit  # a walk starts at the image; the block pulls its nodes
                     if cycle_id[current] != -1:
                         continue  # resolved already: cheaper than an empty walk
                     path: list[int] = []

@@ -861,7 +861,7 @@ def test_engine_fault_exits_1(monkeypatch, capsys):
 def test_census_past_the_address_space_exits_2_at_once(monkeypatch, capsys, p):
     # B ~ 4.1e18 at p = 3, and B = 2**63 + 2**32, past PY_SSIZE_T_MAX, at
     # p = 2; at p = k, B = k - 1, so a 2**32-entry table and box, about
-    # 382.3 GB, over an 8 GiB machine: the memory check fails before any
+    # 107.4 GB, over an 8 GiB machine: the memory check fails before any
     # digit is mapped
     def never(*_):
         raise AssertionError("digit table built past the memory check")

@@ -215,12 +215,12 @@ def test_box_past_the_address_space_fails_before_the_digit_table(monkeypatch, p)
 
 @pytest.mark.parametrize("transients", [False, True])
 def test_census_checks_its_bytes_against_the_memory_first(monkeypatch, transients):
-    # (137, 11): 88 bytes for each of 137 digits and 137 more for a cut last
-    # row's shape, and 1 for each of the B + 1 = 365 box nodes, or 2 with
-    # transients
+    # (137, 11): 24 bytes for each of 137 digits and 137 more for a cut last
+    # row's shape, 112 for each of at most 2 * 13 + 1 = 27 distinct digits,
+    # and 1 for each of the B + 1 = 365 box nodes, or 2 with transients
     params = Params(137, 11)
     assert absorbing_bound(params) == 364
-    estimate = 88 * (137 + 137) + (2 if transients else 1) * 365
+    estimate = 24 * (137 + 137) + 112 * 27 + (2 if transients else 1) * 365
     expected = _census(params, None, transients)
     monkeypatch.setattr("zorbit.dynamics._MEMORY", estimate)
     assert _census(params, None, transients) == expected
@@ -233,14 +233,22 @@ def test_census_checks_its_bytes_against_the_memory_first(monkeypatch, transient
 @pytest.mark.parametrize("transients", [False, True])
 @pytest.mark.parametrize(
     "k,p,n_max",
-    [(4096, 4096, None), (947, 3, None), (4000, 3, None), (137, 11, 100_000)],
-    ids=["k=p", "box", "big-ints", "range-past-box"],
+    [
+        (4096, 4096, None),
+        (947, 3, None),
+        (4000, 3, None),
+        (137, 11, 100_000),
+        (3000, 3, None),
+        (30000, 200, None),
+    ],
+    ids=["k=p", "box", "big-ints", "range-past-box", "many-values", "shapes-per-row"],
 )
 def test_census_counts_at_least_its_own_peak(monkeypatch, k, p, n_max, transients):
     # the rule counts what a census allocates, tracemalloc's few kB of fixed
     # bookkeeping aside: k = p holds a box of one row beside a table of k
-    # entries; (947, 3) and (4000, 3) hold digit values past the small-int
-    # cache, and (137, 11) keeps 548 nodes for 100 001 starts
+    # entries; (947, 3), (4000, 3) and (3000, 3) hold digit values past the
+    # small-int cache, about 2k/3 distinct ones; (137, 11) keeps 548 nodes for
+    # 100 001 starts, and (30000, 200) cuts each row into 8 shapes
     params = Params(k, p)
     peak = peak_bytes(_census, params, n_max, transients)
     monkeypatch.setattr("zorbit.dynamics._MEMORY", peak - 1)
@@ -251,10 +259,9 @@ def test_census_counts_at_least_its_own_peak(monkeypatch, k, p, n_max, transient
 
 @pytest.mark.parametrize("transients", [False, True])
 def test_census_counts_at_most_three_quarters_over_its_peak_at_k_equal_p(monkeypatch, transients):
-    # k = p = 100 000: every f(a) is 0, 1 or 2, so a digit takes about 52 bytes
-    # beside the one-row box, where the rule counts the most a digit took on
-    # any measured cell and 8 % more; so the rule over-counts here, by less
-    # than 1.75x
+    # k = p = 100 000: every f(a) is 0, 1 or 2, so a digit takes about 16 bytes
+    # beside the one-row box, where the rule counts 24; so the rule over-counts
+    # here, by less than 1.75x
     params = Params(100_000, 100_000)
     peak = peak_bytes(_census, params, None, transients)
     monkeypatch.setattr("zorbit.dynamics._MEMORY", 0)
@@ -268,11 +275,19 @@ def test_census_counts_at_most_three_quarters_over_its_peak_at_k_equal_p(monkeyp
 def test_wide_redo_checks_its_bytes_before_it_allocates(monkeypatch, transients):
     # 300 fixed points: the one-byte pass fits the memory and overflows at the
     # 129th cycle; the redo's 4-byte tables would take 3 bytes a node more
-    entries = dynamics._ENTRY * (300 + 300)
+    entries = dynamics._ENTRY * (300 + 300) + dynamics._VALUE * 300
     tables = 2 if transients else 1
     monkeypatch.setattr("zorbit.dynamics._MEMORY", entries + tables * 300)
     with pytest.raises(MemoryError, match=f"about {entries + tables * 4 * 300} bytes"):
         _walk(tuple(range(300)), 299, None, transients)
+
+
+@pytest.mark.parametrize("transients", [False, True])
+def test_one_row_census_keeps_no_node_order(transients):
+    # k = p = 100 000: 25 block shapes, of which only the first has walks; a
+    # shape holds its gather and its 3 distinct digits, not its nodes sorted
+    # by digit, which took the peak to 5.5 MB
+    assert peak_bytes(_census, Params(100_000, 100_000), None, transients) < 2_500_000
 
 
 def test_tables_past_the_box_stay_box_sized():
@@ -789,9 +804,10 @@ def test_sweep_captures_cell_errors():
 
 
 def test_sweep_reports_a_cell_past_the_memory_as_an_error_row(monkeypatch):
-    # k = p = 2**32: B = k - 1, so 88 bytes for each of 2**32 + 4096 digits
-    # (the table and the shape cache) and 2 for each of 2**32 box nodes with
-    # depths: about 386.5 GB, over an 8 GiB machine
+    # k = p = 2**32: B = k - 1, so 24 bytes for each of 2**32 + 4096 digits
+    # (the table and gather slots), 112 for each of 3 distinct digits and 2
+    # for each of 2**32 box nodes with depths: about 111.7 GB, over an 8 GiB
+    # machine
     monkeypatch.setattr("zorbit.dynamics._MEMORY", 8 * 2**30)
     monkeypatch.setattr("zorbit.dynamics._digit_table", never_map_a_digit)
     (row,) = sweep((2**32, 2**32), (2**32, 2**32), 10)

@@ -1,7 +1,7 @@
 """Source rules: no line over 100 characters; one home each for the digit
-check, the CLI's spelling of true and false, the reading of physical memory
-and the census's MemoryError; only the standard library and the package
-itself are imported."""
+check, the CLI's spelling of true and false, the reading of physical memory,
+the census's MemoryError and its memory constants; only the standard library
+and the package itself are imported."""
 
 from __future__ import annotations
 
@@ -87,6 +87,38 @@ def test_memory_error_is_built_only_by_the_table_rule():
         if isinstance(node, ast.FunctionDef) and node.name == "_tables"
     ]
     assert builds(rule) == sum(map(builds, trees)) == 1
+
+
+def test_memory_constants_are_read_only_by_the_table_rule():
+    # the bytes a digit and a distinct digit take are the memory rule's own:
+    # defined once each in dynamics.py and read only inside _tables
+    names = {"_ENTRY", "_VALUE"}
+
+    def uses(tree: ast.AST) -> list[str]:
+        # a name, an attribute, an import alias or a definition's name
+        return sorted(
+            value
+            for node in ast.walk(tree)
+            for value in map(vars(node).get, ("id", "attr", "name", "asname"))
+            if value in names
+        )
+
+    dynamics = ast.parse((SOURCE / "dynamics.py").read_text(encoding="utf-8"))
+    (rule,) = [
+        node
+        for node in dynamics.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_tables"
+    ]
+    definitions = [
+        target.id
+        for node in dynamics.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in names
+    ]
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCE.rglob("*.py")]
+    assert sorted(definitions) == uses(rule) == sorted(names)
+    assert sorted(name for tree in trees for name in uses(tree)) == sorted(definitions + uses(rule))
 
 
 def test_imports_are_relative_or_from_the_standard_library():
