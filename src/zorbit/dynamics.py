@@ -39,7 +39,6 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import islice
 from operator import itemgetter
 
 from .errors import AbsorptionError, ParameterDomainError, PreconditionError, _check_int, _echo
@@ -190,7 +189,8 @@ def _tables(
     """The end of the census range, max(bound, n_max), and the size of its
     node tables, which reach the end of the row of the largest image any
     start has (``top`` is the largest digit-table entry), so no stored block
-    grows a table.
+    reaches past them.  ``_resolve`` exports each table by one memoryview for
+    its whole pass, so a block that did would raise BufferError, not grow it.
 
     Raises MemoryError when the census would exceed ``_MEMORY``: ``_ENTRY``
     bytes for each of the k digits and of the one more shape a cut last row
@@ -266,7 +266,9 @@ def _resolve(
     itemsize = array(typecode).itemsize
     end, size = _tables(k, max(table), len(set(table)), bound, n_max, transients, itemsize)
     cycle_id = array(typecode, [-1]) * size
+    id_view = memoryview(cycle_id)  # exported for the pass, so a block cannot grow the table
     depth = array(typecode, [0]) * size if transients else None
+    depth_view = None if depth is None else memoryview(depth)
 
     square = k * k  # an image below it has two digits, summed inline
 
@@ -329,8 +331,7 @@ def _resolve(
                         for v in reversed(path):
                             steps += 1
                             depth[v] = steps
-            with memoryview(cycle_id) as id_view:
-                block_ids = gather(id_view[high:])
+            block_ids = gather(id_view[high:])
             if typecode == "b":  # at most 128 cycles: a bytearray counts each id in C
                 block_ids = bytearray(block_ids)
                 for cid in range(len(found)):
@@ -341,8 +342,7 @@ def _resolve(
                 cycle_id[lo:hi] = array(typecode, block_ids)  # one-byte ids: a memcpy
             if depth is None:
                 continue
-            with memoryview(depth) as depth_view:
-                block_depths = gather(depth_view[high:])
+            block_depths = gather(depth_view[high:])
             if lo >= size:  # counted only
                 longest = max(longest, max(block_depths) + 1)
             elif typecode == "b":
@@ -357,7 +357,7 @@ def _resolve(
 
     if depth is not None:
         top = bound if n_max is None else n_max
-        longest = max(longest, max(islice(depth, 1, top + 1), default=0))  # a slice would copy
+        longest = max(longest, max(depth_view[1 : top + 1], default=0))
     # Cycles are disjoint, so ordering by values orders by minimum element.
     ids = range(len(found))
     ordered = sorted(zip(found, map(counts.__getitem__, ids), map(cycle_id.index, ids)))

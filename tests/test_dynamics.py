@@ -537,6 +537,17 @@ def test_walk_redoes_the_census_with_wide_tables(
     assert passes == [(True, "b"), (True, "i"), (False, "b")] + [(False, "i")] * ids_past_127
 
 
+@pytest.mark.parametrize("transients", [False, True])
+def test_a_stored_block_cannot_grow_its_table(monkeypatch, transients):
+    # base-10 digit sums on the box [0, 18]: the tables end at node 18; cut to
+    # 15 nodes, the block [10, 19) would store 9 ids in 5 slots, and the views
+    # the pass holds refuse to resize the table
+    assert dynamics._tables(10, 9, 10, 18, None, transients, 1) == (18, 19)
+    monkeypatch.setattr("zorbit.dynamics._tables", lambda *args: (18, 15))
+    with pytest.raises(BufferError):
+        _walk(tuple(range(10)), 18, None, transients)
+
+
 # -- fixed points ------------------------------------------------------------
 
 

@@ -1,7 +1,8 @@
 """Source rules: no line over 100 characters; one home each for the digit
 check, the CLI's spelling of true and false, the reading of physical memory,
-the census's MemoryError and its memory constants; only the standard library
-and the package itself are imported."""
+the census's MemoryError and its memory constants; one view of each census
+table for the whole pass; only the standard library and the package itself
+are imported."""
 
 from __future__ import annotations
 
@@ -119,6 +120,29 @@ def test_memory_constants_are_read_only_by_the_table_rule():
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCE.rglob("*.py")]
     assert sorted(definitions) == uses(rule) == sorted(names)
     assert sorted(name for tree in trees for name in uses(tree)) == sorted(definitions + uses(rule))
+
+
+def test_census_opens_one_view_per_table_for_the_pass():
+    # the id and depth tables are exported once, after their allocation, so a
+    # stored block cannot grow them and no block builds a view of its own
+    dynamics = ast.parse((SOURCE / "dynamics.py").read_text(encoding="utf-8"))
+    (resolve,) = [
+        node
+        for node in dynamics.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_resolve"
+    ]
+    views = {
+        id(node)
+        for node in ast.walk(resolve)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "memoryview"
+    }
+    scoped = {
+        id(node)
+        for scope in ast.walk(resolve)
+        if isinstance(scope, (ast.For, ast.While, ast.With))
+        for node in ast.walk(scope)
+    }
+    assert len(views) == 2 and not views & scoped
 
 
 def test_imports_are_relative_or_from_the_standard_library():
