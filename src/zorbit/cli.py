@@ -700,8 +700,6 @@ def main(argv: list[str] | None = None) -> int:
     Starts of any size are accepted, so the interpreter's cap on the digits
     of int/str conversions is lifted for the call and restored after it.
     """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return _main(argv)
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

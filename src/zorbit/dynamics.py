@@ -8,27 +8,12 @@ else here (cycle enumeration, fixed points, the collapse verifiers, and
 parameter sweeps) reduces to finite, exhaustively checked computation
 inside the box.
 
-One engine serves them all: ``_walk``, keyed by a digit table alone, resolves
-every start in one pass, row by row, pulling most nodes' cycle from their
-images ``z(c*k + a) = z(c) + table[a]`` by one C-level gather, tally and store
-per block, so a node costs about the same whatever the digit map; a walk sums
-an image of two digits inline.  The cycle-id table takes one signed byte per
-node.  Only ``sweep`` reads transients, so only it asks for a depth table
-(steps to the cycle) of the same width, gathered after the ids, whose stored
-blocks add 1 by one ``bytearray.translate``; every other caller resolves the
-box with the id table alone.  A cycle id past 127, or with transients a depth
-past 127, sends the census back for one pass with 4- or 8-byte tables.  Above
-the box every image lies below its row, so the pull alone resolves those rows;
-blocks past the stored tables skip only the table writes, and basins and the
-longest transient are counted in the same pass.  One rule, ``_tables``, sizes
-the tables and counts the memory: ``_ENTRY`` bytes a digit (its table and
-gather slots), ``_VALUE`` a distinct digit (its int and list slot), and tables
-up to the row of the largest image at 1 byte a node (2 with depths), or 4 or 8
-for the redo.  A census over the physical memory raises MemoryError before its
-digit table is built, and a redo before it allocates.  ``_census`` feeds the
-engine the closed-form table of ``_digit_table`` and ``absorbing_bound`` and
-picks the Theorem 1 witness by ``classify_cycle``; ``cycle_census``,
-``fixed_points``, both verifiers and ``sweep`` all read their answers from it.
+One engine serves them all: ``_walk`` resolves every start of the census
+range in one pass over a digit table, keeping a one-byte cycle-id table over
+the box, and a depth table as well for ``sweep``, the one caller that reads
+transients.  ``_census`` feeds it the closed-form table of ``_digit_table``;
+``cycle_census``, ``fixed_points``, both verifiers and ``sweep`` all read their
+answers from it.
 """
 
 from __future__ import annotations
@@ -246,15 +231,15 @@ def _walk(
     one ``bytearray.translate`` and its writes copy bytes.  A cycle id past 127,
     or with transients a depth past 127, raises OverflowError, from a walk's
     assignment or a translated depth of 128, and the census is redone once
-    with wide tables, "i" below 2**31 - 1 and "q" from there, whose + 1 is a
-    list comprehension; the redo's 4 or 8 bytes a node pass the same check,
-    or raise MemoryError before they are allocated.
+    with 4-byte "i" tables, whose + 1 is a list comprehension; the redo's 4
+    bytes a node pass the same check, or raise MemoryError before they are
+    allocated.
     """
     try:
         return _resolve(table, bound, n_max, transients, "b")
     except OverflowError:
         pass  # leave the handler first: its traceback holds the one-byte tables
-    return _resolve(table, bound, n_max, transients, "i" if bound < 2**31 - 1 else "q")
+    return _resolve(table, bound, n_max, transients, "i")
 
 
 def _resolve(

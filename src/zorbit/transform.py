@@ -143,21 +143,19 @@ def orbit(n: int, params: Params, max_steps: int = DEFAULT_MAX_STEPS) -> OrbitTr
     """
     _check_int("max_steps", max_steps, 1)
     _check_int("value", n, 0)
-    seen = {n: 0}
-    values = [n]
+    seen = {n: 0}  # its insertion order is the trace
     current = n
-    for _ in range(max_steps):
+    for step in range(1, max_steps + 1):
         current = z_transform(current, params)
-        values.append(current)
         first = seen.get(current)
         if first is not None:
             return OrbitTrace(
                 params=params,
-                values=tuple(values),
+                values=(*seen, current),
                 preperiod_length=first,
-                cycle_length=len(values) - 1 - first,
+                cycle_length=step - first,
             )
-        seen[current] = len(values) - 1
+        seen[current] = step
     raise BudgetExceededError(
-        f"no repeated value within {max_steps} steps starting from {_echo(n)}", values
+        f"no repeated value within {max_steps} steps starting from {_echo(n)}", seen
     )

@@ -258,13 +258,6 @@ def test_main_in_process_accepts_long_start_and_restores_digit_limit():
     assert json.loads(stdout.getvalue())["payload"]["trace"][0]["value"] == start
 
 
-def test_main_runs_where_the_digit_limit_does_not_exist(monkeypatch, capsys):
-    # CPython 3.10.0-3.10.6 have no set_int_max_str_digits (and no cap to lift)
-    monkeypatch.delattr(sys, "set_int_max_str_digits")
-    assert cli.main(["orbit", "123789", "--k", "137", "--p", "11", "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["payload"]["trace"][0]["value"] == "123789"
-
-
 @pytest.mark.parametrize(
     "start, extra, echoed",
     [

@@ -537,6 +537,22 @@ def test_walk_redoes_the_census_with_wide_tables(
     assert passes == [(True, "b"), (True, "i"), (False, "b")] + [(False, "i")] * ids_past_127
 
 
+def test_walk_redoes_with_four_byte_tables_at_every_bound(monkeypatch):
+    # a 4-byte slot holds any id or depth below 2**31 - 1, so a box of more
+    # nodes redoes at the same width; the spy allocates nothing
+    typecodes = []
+
+    def spy(*args):
+        typecodes.append(args[-1])
+        if args[-1] == "b":
+            raise OverflowError("cycle id past 127 in a one-byte table")
+        return (), (), None
+
+    monkeypatch.setattr("zorbit.dynamics._resolve", spy)
+    assert _walk((0, 1), 2**31, None, False) == ((), (), None)
+    assert typecodes == ["b", "i"]
+
+
 @pytest.mark.parametrize("transients", [False, True])
 def test_a_stored_block_cannot_grow_its_table(monkeypatch, transients):
     # base-10 digit sums on the box [0, 18]: the tables end at node 18; cut to

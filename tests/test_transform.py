@@ -127,8 +127,6 @@ HUGE_VALUE_CALLS = {
 
 @pytest.fixture
 def default_digit_cap():
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this interpreter has no int/str digit cap")
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4_300)
     try:
